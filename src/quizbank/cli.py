@@ -211,7 +211,10 @@ def _cmd_preview(args) -> int:
         fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
         os.close(fd)
         out = Path(name)
-    render_preview(bank, out)
+    try:
+        render_preview(bank, out)
+    except OSError as exc:
+        raise QuizbankError(str(exc)) from exc
     print(out)
     return EXIT_OK
 

@@ -8,10 +8,11 @@ choices itself.
 
 A pool with c correct answers and d usable distractors therefore supports
 up to c unique questions and up to c * C(d, 3) distinct ones. Every
-generator defaults to producing the c unique questions; asking for more
-keeps cycling the correct answers while rejection-sampling distractor
-subsets against everything already emitted, so all questions of one call
-stay pairwise distinct.
+generator defaults to producing the c unique questions (fewer, with a
+warning, when pairs sharing an answer leave fewer distinct ones); asking
+for more keeps cycling the correct answers, and each correct answer draws
+its distractor subsets by rank without replacement, so all questions of
+one call stay pairwise distinct.
 
 All comparisons (duplicates, collisions, distinctness) use trimmed exact
 string comparison of the rendered texts.
@@ -20,17 +21,11 @@ string comparison of the rendered texts.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .errors import CapacityError, SamplingError, ValidationError
 from .model import normalize, render_text
 
 DISTRACTORS_PER_QUESTION = 3
-
-# Attempts per question before falling back to exhaustive enumeration of
-# the remaining subsets (and, if even that is empty, giving up with a
-# warning). Keeps adversarial pools from looping forever.
-RESAMPLE_LIMIT = 100
 
 # Replacement for blanked-out tokens. The plain marker reads fine in
 # <pre>/code contexts and plain text; the span variant renders as an
@@ -95,30 +90,8 @@ def generate_from_lists(bank, title, question, correct, distractors, num_questio
         raise ValidationError(
             f"correct answers and distractors overlap: {sorted(overlap)}"
         )
-
-    c = len(correct_texts)
-    capacity = count_distinct(c, len(distractor_texts))
-    wanted = _resolve_count(num_questions, c, capacity)
-
-    order = list(correct_texts)
-    bank.rng.shuffle(order)
-    used: set = set()
-    added = 0
-    for i in range(wanted):
-        correct_text = order[i % c]
-        picks = _draw_distractor_subset(
-            bank, distractor_texts, correct_text, normalize(correct_text), used
-        )
-        if picks is None:
-            bank.warn(
-                f"stopping after {added} questions: no further distinct "
-                f"distractor combination for {correct_text!r}"
-            )
-            break
-        used.add((normalize(correct_text), frozenset(normalize(p) for p in picks)))
-        bank._append_generated_mcq(title, question, correct_text, picks)
-        added += 1
-    return added
+    slots = [(text, question) for text in correct_texts]
+    return _generate(bank, title, distractor_texts, slots, num_questions)
 
 
 def generate_from_pairs(
@@ -132,60 +105,29 @@ def generate_from_pairs(
     extras = _unique_texts(extra_distractors)
 
     # Nominal per-key pool size: the other answers plus the extras.
-    c = len(rendered)
-    d = c - 1 + len(extras)
+    d = len(rendered) - 1 + len(extras)
     if d < DISTRACTORS_PER_QUESTION:
         raise ValidationError(
             f"per-key distractor pool has size {d} (other answers plus extras); "
             f"need at least {DISTRACTORS_PER_QUESTION}"
         )
-    capacity = c * math.comb(d, DISTRACTORS_PER_QUESTION)
 
-    order = list(range(c))
-    bank.rng.shuffle(order)
-
-    # Answers need not be injective, so a key's usable pool can shrink
-    # below 3 once entries matching its own answer are filtered out.
-    usable = []
-    for idx in order:
-        key_text, answer_text = rendered[idx]
-        pool = [a for j, (_, a) in enumerate(rendered) if j != idx] + extras
-        answer_norm = normalize(answer_text)
-        usable_pool = [
-            t for t in _unique_texts(pool) if normalize(t) != answer_norm
-        ]
-        if len(usable_pool) < DISTRACTORS_PER_QUESTION:
+    # Answers need not be injective, so the usable pool (every distinct
+    # answer and extra except the key's own answer) can fall below 3. It
+    # has the same size for every key, so either all keys are usable or none.
+    pool = _unique_texts([answer for _, answer in rendered] + extras)
+    usable = len(pool) - 1
+    if usable < DISTRACTORS_PER_QUESTION:
+        for key_text, _ in rendered:
             bank.warn(
-                f"skipping key {key_text!r}: only {len(usable_pool)} usable "
+                f"skipping key {key_text!r}: only {usable} usable "
                 f"distractors after removing entries equal to its answer"
             )
-            continue
-        usable.append((idx, key_text, answer_text, usable_pool))
-    if not usable:
         raise SamplingError(
             "no key has enough usable distractors; provide more pairs or extra distractors"
         )
-
-    wanted = _resolve_count(num_questions, len(usable), capacity)
-    used: set = set()
-    added = 0
-    for i in range(wanted):
-        _, key_text, answer_text, pool = usable[i % len(usable)]
-        # Distinctness is judged on the choices alone, so two keys sharing
-        # an answer (non-injective input) may never reuse a distractor set.
-        answer_norm = normalize(answer_text)
-        picks = _draw_distractor_subset(bank, pool, answer_text, answer_norm, used)
-        if picks is None:
-            bank.warn(
-                f"stopping after {added} questions: no further distinct "
-                f"distractor combination for key {key_text!r}"
-            )
-            break
-        used.add((answer_norm, frozenset(normalize(p) for p in picks)))
-        stem = pattern.replace("%s", key_text, 1)
-        bank._append_generated_mcq(title, stem, answer_text, picks)
-        added += 1
-    return added
+    slots = [(answer, pattern.replace("%s", key, 1)) for key, answer in rendered]
+    return _generate(bank, title, pool, slots, num_questions)
 
 
 def generate_complete_code(
@@ -205,52 +147,94 @@ def generate_complete_code(
     token_texts = _unique_texts(tokens)
     if not token_texts:
         raise ValidationError("the token list is empty")
-    extras = _unique_texts(extra_distractors)
-
-    pools = {}
     for token in token_texts:
         if token not in source_text:
             raise ValidationError(f"token {token!r} does not occur in the source text")
-        token_norm = normalize(token)
-        pool = [
-            t
-            for t in _unique_texts([o for o in token_texts if o != token] + extras)
-            if normalize(t) != token_norm
-        ]
-        if len(pool) < DISTRACTORS_PER_QUESTION:
-            raise ValidationError(
-                f"token {token!r} has only {len(pool)} usable distractors; "
-                f"need at least {DISTRACTORS_PER_QUESTION}"
-            )
-        pools[token] = pool
 
-    c = len(token_texts)
-    capacity = sum(
-        math.comb(len(pool), DISTRACTORS_PER_QUESTION) for pool in pools.values()
-    )
-    wanted = _resolve_count(num_questions, c, capacity)
-
-    order = list(token_texts)
-    bank.rng.shuffle(order)
-    used: set = set()
-    added = 0
-    for i in range(wanted):
-        token = order[i % c]
-        picks = _draw_distractor_subset(bank, pools[token], token, normalize(token), used)
-        if picks is None:
-            bank.warn(
-                f"stopping after {added} questions: no further distinct "
-                f"distractor combination for token {token!r}"
-            )
-            break
-        used.add((normalize(token), frozenset(normalize(p) for p in picks)))
-        stem = pattern.replace("%s", source_text.replace(token, blank), 1)
-        bank._append_generated_mcq(title, stem, token, picks)
-        added += 1
-    return added
+    # Each token's distractors are the other tokens plus the extras.
+    pool = _unique_texts(token_texts + _unique_texts(extra_distractors))
+    if len(pool) - 1 < DISTRACTORS_PER_QUESTION:
+        raise ValidationError(
+            f"token {token_texts[0]!r} has only {len(pool) - 1} usable distractors; "
+            f"need at least {DISTRACTORS_PER_QUESTION}"
+        )
+    slots = [
+        (token, pattern.replace("%s", source_text.replace(token, blank), 1))
+        for token in token_texts
+    ]
+    return _generate(bank, title, pool, slots, num_questions)
 
 
 # -- shared machinery ---------------------------------------------------------
+
+
+def _generate(bank, title, pool, slots, num_questions):
+    """Append questions built from ``slots`` and return how many were added.
+
+    ``pool`` holds rendered, deduplicated distractor texts. A slot is a
+    (correct text, stem) pair; its distractors are the pool minus the entry
+    equal to its correct text, if any. Slots sharing a correct answer share
+    one space of C(m, 3) distractor subsets, so the exact capacity is the
+    sum of C(m, 3) over the distinct answers. Each answer draws the subset
+    ranks it needs without replacement and unranks them, which keeps every
+    question of the call distinct without rejection sampling.
+    """
+    where = {normalize(text): i for i, text in enumerate(pool)}
+    slots = [(normalize(correct), correct, stem) for correct, stem in slots]
+    # Per distinct answer: the pool index it leaves out (len(pool) when it
+    # is not in the pool), and its number of distractor subsets.
+    spaces = {}
+    for answer, _, _ in slots:
+        if answer not in spaces:
+            m = len(pool) - (answer in where)
+            spaces[answer] = (where.get(answer, len(pool)), math.comb(m, DISTRACTORS_PER_QUESTION))
+    capacity = sum(size for _, size in spaces.values())
+    wanted = _resolve_count(num_questions, len(slots), capacity)
+    if num_questions == -1 and wanted < len(slots):
+        bank.warn(
+            f"question {title!r}: the pool supports only {capacity} distinct "
+            f"questions for {len(slots)} keys; generating {capacity}"
+        )
+
+    # Round-robin over the shuffled slots, dropping a slot once its answer
+    # has used up its subsets. Each pass removes or emits every live slot.
+    bank.rng.shuffle(slots)
+    taken = dict.fromkeys(spaces, 0)
+    sequence = []
+    while len(sequence) < wanted:
+        for slot in slots:
+            if taken[slot[0]] < spaces[slot[0]][1]:
+                taken[slot[0]] += 1
+                sequence.append(slot)
+                if len(sequence) == wanted:
+                    break
+        slots = [slot for slot in slots if taken[slot[0]] < spaces[slot[0]][1]]
+
+    ranks = {
+        answer: iter(bank.rng.sample(range(spaces[answer][1]), count))
+        for answer, count in taken.items()
+    }
+    for answer, correct, stem in sequence:
+        skip = spaces[answer][0]
+        picks = [pool[i + (i >= skip)] for i in _unrank_triple(next(ranks[answer]))]
+        bank._append_generated_mcq(title, stem, correct, picks)
+    return wanted
+
+
+def _unrank_triple(rank):
+    """The 3-subset (a, b, c), a < b < c, with rank C(c,3) + C(b,2) + C(a,1).
+
+    This is the combinatorial number system (colex order): ranks
+    0 .. C(m,3)-1 map one-to-one onto the 3-subsets of range(m).
+    """
+    c = round((6 * rank) ** (1 / 3)) + 1
+    while math.comb(c, 3) > rank:
+        c -= 1
+    while math.comb(c + 1, 3) <= rank:
+        c += 1
+    rank -= math.comb(c, 3)
+    b = (1 + math.isqrt(1 + 8 * rank)) // 2
+    return rank - b * (b - 1) // 2, b, c
 
 
 def _unique_texts(items) -> list[str]:
@@ -275,41 +259,14 @@ def _resolve_count(num_questions, default, capacity):
         raise ValidationError(f"question count must be an integer, got {num_questions!r}")
     if num_questions < -1:
         raise ValidationError(f"question count must be >= -1, got {num_questions}")
-    wanted = default if num_questions == -1 else num_questions
-    if wanted > capacity:
+    if num_questions == -1:
+        return min(default, capacity)
+    if num_questions > capacity:
         raise CapacityError(
-            f"requested {wanted} questions but the pool supports at most "
+            f"requested {num_questions} questions but the pool supports at most "
             f"{capacity} distinct questions"
         )
-    return wanted
-
-
-def _draw_distractor_subset(bank, pool, correct_text, signature_key, used):
-    """Pick 3 distractors not yet emitted with this correct answer.
-
-    Rejection-samples first; when the remaining space is dense enough that
-    RESAMPLE_LIMIT draws keep colliding, enumerates the unused subsets and
-    picks one at random. Returns None when none remain.
-    """
-    correct_norm = normalize(correct_text)
-    for _ in range(RESAMPLE_LIMIT):
-        picks = sample_distractors(pool, DISTRACTORS_PER_QUESTION, {correct_text}, bank.rng)
-        texts = [correct_text] + picks
-        if len({normalize(t) for t in texts}) < len(texts):
-            bank.warn("duplicated choice text in sampled question; resampling")
-            continue
-        if (signature_key, frozenset(normalize(p) for p in picks)) in used:
-            continue
-        return picks
-    valid = [t for t in _unique_texts(pool) if normalize(t) != correct_norm]
-    remaining = [
-        combo
-        for combo in combinations(valid, DISTRACTORS_PER_QUESTION)
-        if (signature_key, frozenset(normalize(p) for p in combo)) not in used
-    ]
-    if not remaining:
-        return None
-    return list(bank.rng.choice(remaining))
+    return num_questions
 
 
 def _require_single_placeholder(pattern) -> None:

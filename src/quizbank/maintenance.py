@@ -29,13 +29,15 @@ def replace_text(bank, old: str, new: str) -> int:
 
 def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
     """Regular-expression variant of replace_text (used by the CLI --regex flag)."""
-    compiled = re.compile(pattern)
-
-    def substitute(text):
-        new_text, count = compiled.subn(replacement, text)
-        return new_text, count
-
-    return _apply(bank, substitute)
+    try:
+        compiled = re.compile(pattern)
+        # Checks the replacement's group references before any text changes.
+        compiled.sub(replacement, "")
+    except re.error as exc:
+        raise ValidationError(
+            f"bad regular expression {pattern!r} or replacement {replacement!r}: {exc}"
+        ) from exc
+    return _apply(bank, lambda text: compiled.subn(replacement, text))
 
 
 def set_wrong_penalty(bank, fraction) -> int:

@@ -85,7 +85,8 @@ def parse_bank(data) -> QuestionBank:
     The returned bank has no output path (supply one before close()).
     Unsupported question types are skipped with a warning on the bank;
     malformed XML raises BankParseError with the reported line/column and
-    leaves no partial bank behind.
+    leaves no partial bank behind, as does a number or fraction that does
+    not parse, naming the question's position.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -103,6 +104,7 @@ def parse_bank(data) -> QuestionBank:
 
     bank = QuestionBank(output_path=None)
     current_category = ""
+    number = 0
     for element in root:
         if element.tag != "question":
             bank.warn(f"ignoring unexpected element <{element.tag}>")
@@ -111,10 +113,14 @@ def parse_bank(data) -> QuestionBank:
         if qtype == "category":
             current_category = _parse_category(element)
             continue
+        number += 1
         if qtype not in _SUPPORTED_TYPES:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
-        question = _parse_question(element, qtype, bank)
+        try:
+            question = _parse_question(element, qtype, bank)
+        except ValueError as exc:
+            raise BankParseError(f"question #{number}: {exc}") from exc
         if question is not None:
             question.category = current_category
             bank.questions.append(question)

@@ -20,6 +20,7 @@ import tempfile
 import webbrowser
 from pathlib import Path
 
+from .fileio import atomic_write_bytes
 from .model import QuestionKind, canonical_number
 
 _STYLE = """
@@ -65,7 +66,7 @@ def render_preview(bank, output_path, math="cdn"):
     output_path = Path(output_path)
     document = build_preview_html(bank, math=math)
     try:
-        output_path.write_bytes(document.encode("utf-8"))
+        atomic_write_bytes(output_path, document.encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write preview to {output_path}: {exc}") from exc
     return output_path

@@ -212,3 +212,90 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+FOREIGN_NUMERICAL = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="numerical">
+    <name><text>n</text></name>
+    <questiontext format="html"><text>How many?</text></questiontext>
+    <answer fraction="100"><text>abc</text></answer>
+  </question>
+</quiz>
+"""
+
+FOREIGN_FRACTION = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="shortanswer">
+    <name><text>s</text></name>
+    <questiontext format="html"><text>Say hi</text></questiontext>
+    <answer fraction="100"><text>hi</text></answer>
+  </question>
+  <question type="multichoice">
+    <name><text>m</text></name>
+    <questiontext format="html"><text>Pick one</text></questiontext>
+    <answer fraction="lots"><text>a</text></answer>
+    <answer fraction="0"><text>b</text></answer>
+  </question>
+</quiz>
+"""
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestFailureMessages:
+    @pytest.mark.parametrize(
+        "document, number",
+        [(FOREIGN_NUMERICAL, 1), (FOREIGN_FRACTION, 2)],
+        ids=["numerical-text", "fraction-text"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["preview", "--out", "p.html"], ["maintain", "set-penalty", "0"]],
+        ids=lambda c: c[0],
+    )
+    def test_unparsable_number_exits_2(self, tmp_path, capsys, document, number, command):
+        path = tmp_path / "foreign.xml"
+        path.write_bytes(document)
+        argv = [command[0], str(path)] + [
+            str(tmp_path / arg) if arg.endswith(".html") else arg for arg in command[1:]
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and f"question #{number}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
+
+    def test_bad_regex_is_usage_error(self, bank_file, capsys):
+        before = bank_file.read_bytes()
+        code = main(["maintain", str(bank_file), "replace-text", "(", "x", "--regex"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and "Traceback" not in err
+        assert bank_file.read_bytes() == before
+        assert list(bank_file.parent.glob("*.bak")) == []
+
+    def test_bad_group_reference_is_usage_error(self, bank_file, capsys):
+        code = main(["maintain", str(bank_file), "replace-text", "(Flux)", r"\2", "--regex"])
+        assert code == 1
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    def test_preview_into_missing_directory(self, bank_file, tmp_path, capsys):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        target = tmp_path / "missing" / "x.html"
+        assert main(["preview", str(bank_file), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_failed_preview_write_leaves_no_temp_file(self, bank_file, tmp_path, capsys):
+        # Replacing a directory fails after the temp file was written.
+        target = tmp_path / "taken"
+        target.mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["preview", str(bank_file), "--out", str(target)]) == 2
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(target.iterdir()) == []

@@ -1,20 +1,25 @@
 """Generator behavior: counting arithmetic, sampling, and the three pool kinds."""
 
+import math
 import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quizbank import (
     CapacityError,
+    QuestionBank,
     SamplingError,
     ValidationError,
     count_distinct,
     count_unique,
+    generators,
     sample_distractors,
 )
-from quizbank.generators import BLANK_MARKER
+from quizbank.generators import BLANK_MARKER, _unrank_triple
 
 
 def enumerate_question_space(c, d):
@@ -417,3 +422,139 @@ class TestDeterminism:
             )
             corrects = [question_signature(q)[0] for q in bank.questions]
             assert len(set(corrects[:6])) == 6
+
+
+# -- exact capacity and the rank-based core ------------------------------------
+
+
+def enumerate_space(answers, pool):
+    """Every (answer, 3-subset of the pool without that answer) question."""
+    return {
+        (answer, frozenset(combo))
+        for answer in set(answers)
+        for combo in combinations(sorted(set(pool) - {answer}), 3)
+    }
+
+
+def _values(prefix, low, high, min_size, max_size):
+    return st.lists(
+        st.integers(low, high).map(lambda i: f"{prefix}{i}"),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@st.composite
+def list_pools(draw):
+    correct = draw(_values("c", 0, 5, 1, 6))
+    distractors = draw(_values("d", 0, 7, 3, 9).filter(lambda d: len(set(d)) >= 3))
+    space = enumerate_space(correct, distractors)
+
+    def generate(bank, count):
+        return bank.addMultipleChoiceFromLists("", "stem", correct, distractors, count)
+
+    return space, generate
+
+
+@st.composite
+def pair_pools(draw):
+    # Answers and extras come from one alphabet, so answers repeat (the
+    # pairs are not injective) and extras may equal an answer.
+    answers = draw(_values("v", 0, 6, 1, 6))
+    extras = draw(_values("v", 0, 9, 0, 6))
+    pool = set(answers) | set(extras)
+    assume(len(pool) - 1 >= 3)
+    pairs = [(f"k{i}", answer) for i, answer in enumerate(answers)]
+    space = enumerate_space(answers, pool)
+
+    def generate(bank, count):
+        return bank.addMultipleChoiceFromPairs("", "what is %s?", pairs, extras, count)
+
+    return space, generate
+
+
+@st.composite
+def token_pools(draw):
+    tokens = draw(_values("t", 0, 9, 1, 5))
+    extras = draw(_values("t", 0, 14, 0, 6))
+    pool = set(tokens) | set(extras)
+    assume(len(pool) - 1 >= 3)
+    source = " ; ".join(f"use({t})" for t in tokens)
+    space = enumerate_space(tokens, pool)
+
+    def generate(bank, count):
+        return bank.addCompleteCode("", "Fill: %s", source, tokens, extras, count)
+
+    return space, generate
+
+
+class TestExactCapacity:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(list_pools(), pair_pools(), token_pools()), seed=st.integers(0, 2**32))
+    def test_capacity_is_exact(self, case, seed):
+        space, generate = case
+        capacity = len(space)
+        bank = QuestionBank(None, seed=seed)
+        assert generate(bank, capacity) == capacity
+        signatures = [question_signature(q) for q in bank.questions]
+        assert set(signatures) == space and len(signatures) == capacity
+        assert_generated_invariants(bank.questions)
+
+        with pytest.raises(CapacityError) as err:
+            generate(QuestionBank(None, seed=seed), capacity + 1)
+        assert str(capacity + 1) in str(err.value) and str(capacity) in str(err.value)
+
+    def test_shared_answers_count_once(self):
+        # Nominally 5 * C(4, 3) = 20, but the two keys answering "A" share
+        # one subset: exactly 4 distinct questions exist.
+        pairs = [("k0", "A"), ("k1", "A"), ("k2", "B"), ("k3", "C"), ("k4", "D")]
+        with pytest.raises(CapacityError) as err:
+            QuestionBank(None, seed=0).addMultipleChoiceFromPairs("", "%s?", pairs, (), 20)
+        assert "20" in str(err.value) and "4" in str(err.value)
+        with pytest.raises(CapacityError):
+            QuestionBank(None, seed=0).addMultipleChoiceFromPairs("", "%s?", pairs, (), 5)
+
+    def test_default_count_capped_with_one_warning(self, capsys):
+        pairs = [("k0", "A"), ("k1", "A"), ("k2", "B"), ("k3", "C"), ("k4", "D")]
+        bank = QuestionBank(None, seed=0)
+        assert bank.addMultipleChoiceFromPairs("", "%s?", pairs) == 4
+        assert_generated_invariants(bank.questions)
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WARN:")]
+        assert len(warnings) == 1 and "4" in warnings[0]
+        assert len(bank.warnings) == 1
+
+
+class TestUnranking:
+    def test_bijection_onto_triples(self):
+        for m in range(3, 10):
+            triples = [_unrank_triple(rank) for rank in range(math.comb(m, 3))]
+            assert sorted(triples) == list(combinations(range(m), 3))
+
+    def test_large_ranks(self):
+        m = 10**6
+        assert _unrank_triple(math.comb(m, 3) - 1) == (m - 3, m - 2, m - 1)
+        assert _unrank_triple(math.comb(m - 1, 3)) == (0, 1, m - 1)
+
+
+class TestScaling:
+    def test_pairs_text_work_is_linear(self, monkeypatch):
+        # Counts, not wall time: the rendering and comparison work of the
+        # pairs generator must grow linearly with the number of pairs.
+        calls = Counter()
+        for name in ("render_text", "normalize"):
+            original = getattr(generators, name)
+
+            def counted(value, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(value)
+
+            monkeypatch.setattr(generators, name, counted)
+
+        def work(n):
+            calls.clear()
+            bank = QuestionBank(None, seed=1)
+            pairs = [(f"key {i}", f"answer {i}") for i in range(n)]
+            assert bank.addMultipleChoiceFromPairs("", "What is %s?", pairs) == n
+            return sum(calls.values())
+
+        assert work(400) / work(200) <= 2.5
