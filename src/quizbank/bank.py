@@ -165,12 +165,7 @@ class QuestionBank:
                 f"duplicated choice text {duplicate!r}; question {name!r} not added"
             )
             return
-        wrong = self.wrong_fraction_rule(len(texts))
-        built = [Choice(normalize_newlines(texts[0]), 100.0)]
-        built += [Choice(normalize_newlines(t), wrong) for t in texts[1:]]
-        self._append(
-            Question(QuestionKind.MULTIPLE_CHOICE, str(name), stem, ChoiceSet(built))
-        )
+        self._append_mcq(name, stem, texts[0], texts[1:])
 
     def addMatching(self, name, question, pairs) -> None:
         """Append a matching question from (prompt, match) pairs.
@@ -315,18 +310,14 @@ class QuestionBank:
         question.name = normalize_newlines(question.name)
         self.questions.append(question)
 
-    def _append_generated_mcq(self, name, stem, correct_text, distractor_texts) -> None:
-        # Generators have already guaranteed pairwise-distinct texts.
+    def _append_mcq(self, name, stem, correct_text, distractor_texts) -> None:
+        # Callers have already guaranteed pairwise-distinct texts.
         wrong = self.wrong_fraction_rule(1 + len(distractor_texts))
         built = [Choice(normalize_newlines(correct_text), 100.0)]
         built += [Choice(normalize_newlines(t), wrong) for t in distractor_texts]
+        stem = self._check_stem(stem)
         self._append(
-            Question(
-                QuestionKind.MULTIPLE_CHOICE,
-                str(name),
-                self._check_stem(stem),
-                ChoiceSet(built),
-            )
+            Question(QuestionKind.MULTIPLE_CHOICE, str(name), stem, ChoiceSet(built))
         )
 
 

@@ -13,10 +13,11 @@ import runpy
 import sys
 import tempfile
 import traceback
+from collections import Counter
 from pathlib import Path
 
 from . import bank as bank_module
-from .errors import BankParseError, QuizbankError, ValidationError
+from .errors import QuizbankError, ValidationError
 from .fileio import atomic_write_bytes, timestamped_backup
 from .maintenance import replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
@@ -56,15 +57,9 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BankParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except QuizbankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -173,17 +168,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if not 0 <= args.media_warn_mb < float("inf"):
+        raise _UsageError(
+            f"--media-warn-mb must be a finite number >= 0, got {args.media_warn_mb:g}"
+        )
     bank = _load_bank(args.bank)
-    kind_counts: dict[str, int] = {}
-    category_counts: dict[str, int] = {}
-    media_total = 0
-    threshold = int(args.media_warn_mb * 1024 * 1024)
-    for index, question in enumerate(bank.questions, start=1):
-        kind_counts[question.kind.value] = kind_counts.get(question.kind.value, 0) + 1
-        category = question.category or "(default)"
-        category_counts[category] = category_counts.get(category, 0) + 1
-        size = question_media_bytes(question)
-        media_total += size
+    kind_counts = Counter(q.kind.value for q in bank.questions)
+    category_counts = Counter(q.category or "(default)" for q in bank.questions)
+    sizes = [question_media_bytes(question) for question in bank.questions]
+    threshold = args.media_warn_mb * 1024 * 1024
+    for index, (question, size) in enumerate(zip(bank.questions, sizes), start=1):
         if size > threshold:
             label = question.name or f"question #{index}"
             bank.warn(
@@ -198,16 +192,15 @@ def _cmd_stats(args) -> int:
         print("  (none)")
     for category in sorted(category_counts):
         print(f"  {category}: {category_counts[category]}")
-    print(f"embedded media bytes: {media_total}")
+    print(f"embedded media bytes: {sum(sizes)}")
     print(f"warnings: {len(bank.warnings)}")
     return EXIT_OK
 
 
 def _cmd_preview(args) -> int:
     bank = _load_bank(args.bank)
-    if args.out is not None:
-        out = args.out
-    else:
+    out = args.out
+    if out is None:
         fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
         os.close(fd)
         out = Path(name)
@@ -221,10 +214,8 @@ def _cmd_preview(args) -> int:
 
 def _cmd_maintain_replace(args) -> int:
     bank = _load_bank(args.bank)
-    if args.regex:
-        count = replace_text_pattern(bank, args.old, args.new)
-    else:
-        count = replace_text(bank, args.old, args.new)
+    replace = replace_text_pattern if args.regex else replace_text
+    count = replace(bank, args.old, args.new)
     _write_maintained(bank, args)
     print(f"replacements: {count}")
     return EXIT_OK

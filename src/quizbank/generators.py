@@ -217,7 +217,7 @@ def _generate(bank, title, pool, slots, num_questions):
     for answer, correct, stem in sequence:
         skip = spaces[answer][0]
         picks = [pool[i + (i >= skip)] for i in _unrank_triple(next(ranks[answer]))]
-        bank._append_generated_mcq(title, stem, correct, picks)
+        bank._append_mcq(title, stem, correct, picks)
     return wanted
 
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .model import ChoiceSet, MatchPairList
 
 _MEDIA_TYPE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*/[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*$")
 
@@ -81,8 +82,6 @@ def data_uri_payload_bytes(text: str) -> int:
 
 def question_media_bytes(question) -> int:
     """Decoded size of all media embedded in one question's HTML fields."""
-    from .model import ChoiceSet, MatchPairList
-
     total = data_uri_payload_bytes(question.stem)
     payload = question.payload
     if isinstance(payload, ChoiceSet):

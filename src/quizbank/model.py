@@ -39,7 +39,6 @@ class Choice:
 @dataclass
 class ChoiceSet:
     choices: list[Choice]
-    single_answer: bool = True
 
 
 @dataclass

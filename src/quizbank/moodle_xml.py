@@ -15,6 +15,7 @@ operate on mixed banks.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 from .bank import QuestionBank
@@ -39,6 +40,13 @@ CATEGORY_PREFIX = "$course$/top"
 
 _SUPPORTED_TYPES = {kind.value for kind in QuestionKind}
 
+# XML 1.0 cannot carry the C0 controls but tab and LF (a parser turns CR into
+# LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates. The
+# surrogates fail the UTF-8 encode; the rest appear as these byte sequences.
+_UNENCODABLE_BYTES = [bytes([c]) for c in range(0x20) if c not in b"\t\n"]
+_UNENCODABLE_BYTES += [b"\xef\xbf\xbe", b"\xef\xbf\xbf"]
+_UNENCODABLE = re.compile("[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 def escape_for_cdata(text: str) -> str:
     """Make text safe inside a CDATA section.
@@ -59,24 +67,28 @@ def format_fraction(value) -> str:
     rounded = round(float(value), 5)
     if rounded == 0:
         return "0"
-    text = f"{rounded:.5f}".rstrip("0").rstrip(".")
-    return text
+    return f"{rounded:.5f}".rstrip("0").rstrip(".")
 
 
 def serialize_bank(bank) -> bytes:
-    """Emit a bank as Moodle XML bytes (UTF-8, LF line endings)."""
+    """Emit a bank as Moodle XML bytes (UTF-8, LF line endings); raise
+    QuizbankError naming any question or category XML cannot encode."""
     lines = [XML_DECLARATION, "<quiz>"]
-    emitted_category = None
-    for index, question in enumerate(bank.questions, start=1):
-        category = question.category
-        if (emitted_category is None and category) or (
-            emitted_category is not None and category != emitted_category
-        ):
-            _emit_category(lines, category)
-            emitted_category = category
-        _emit_question(lines, question, index)
-    lines.append("</quiz>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    emitted_category = ""  # the importer's default until a marker says otherwise
+    for question in bank.questions:
+        if question.category != emitted_category:
+            emitted_category = question.category
+            _emit_category(lines, emitted_category)
+        _emit_question(lines, question)
+    lines.append("</quiz>\n")  # ends the join with a newline, without a copy
+    try:
+        data = "\n".join(lines).encode("utf-8")
+    except UnicodeEncodeError:
+        raise _unencodable_error(bank) from None
+    # One C-speed scan of the whole document; only a hit walks the questions.
+    if any(sequence in data for sequence in _UNENCODABLE_BYTES):
+        raise _unencodable_error(bank)
+    return data
 
 
 def parse_bank(data) -> QuestionBank:
@@ -140,10 +152,7 @@ def _emit_category(lines, category_path) -> None:
     lines.append("  </question>")
 
 
-def _emit_question(lines, question, index) -> None:
-    label = question.name or f"question #{index}"
-    _check_encodable(question.name, label)
-    _check_encodable(question.stem, label)
+def _emit_question(lines, question) -> None:
     lines.append(f'  <question type="{question.kind.value}">')
     lines.append("    <name>")
     lines.append(f"      <text>{escape_xml_text(question.name)}</text>")
@@ -155,7 +164,6 @@ def _emit_question(lines, question, index) -> None:
     if question.kind is QuestionKind.SHORT_ANSWER:
         lines.append("    <usecase>0</usecase>")
         for answer in payload.answers:
-            _check_encodable(answer, label)
             lines.append('    <answer fraction="100">')
             lines.append(f"      <text>{escape_xml_text(answer)}</text>")
             lines.append("    </answer>")
@@ -171,7 +179,6 @@ def _emit_question(lines, question, index) -> None:
         lines.append("    <shuffleanswers>true</shuffleanswers>")
         lines.append("    <answernumbering>none</answernumbering>")
         for choice in payload.choices:
-            _check_encodable(choice.text, label)
             fraction = format_fraction(choice.fraction)
             lines.append(f'    <answer fraction="{fraction}" format="html">')
             lines.append(
@@ -181,8 +188,6 @@ def _emit_question(lines, question, index) -> None:
     elif question.kind is QuestionKind.MATCHING:
         lines.append("    <shuffleanswers>true</shuffleanswers>")
         for prompt, match in payload.pairs:
-            _check_encodable(prompt, label)
-            _check_encodable(match, label)
             lines.append('    <subquestion format="html">')
             lines.append(f"      <text><![CDATA[{escape_for_cdata(prompt)}]]></text>")
             lines.append("      <answer>")
@@ -192,14 +197,23 @@ def _emit_question(lines, question, index) -> None:
     lines.append("  </question>")
 
 
-def _check_encodable(text, label) -> None:
-    for ch in text:
-        code = ord(ch)
-        if code < 0x20 and ch not in "\t\n":
-            raise QuizbankError(
-                f"question {label!r} contains control character {ch!r}, "
-                "which XML cannot encode"
-            )
+def _unencodable_error(bank) -> QuizbankError:
+    """Name the first category or question, in document order, that holds
+    a character XML cannot encode."""
+    for index, question in enumerate(bank.questions, start=1):
+        lines = []
+        _emit_question(lines, question)
+        for owner, text in (
+            (f"category {question.category!r}", question.category),
+            (f"question {question.name or f'question #{index}'!r}", "\n".join(lines)),
+        ):
+            found = _UNENCODABLE.search(text)
+            if found:
+                what = "control character" if found[0] < " " else "character"
+                return QuizbankError(
+                    f"{owner} contains {what} {found[0]!r}, which XML cannot encode"
+                )
+    return QuizbankError("the bank holds a character XML cannot encode")
 
 
 # -- parser ---------------------------------------------------------------
@@ -216,16 +230,20 @@ def _parse_category(element) -> str:
 
 
 def _parse_question(element, qtype, bank):
-    name = element.findtext("name/text") or ""
-    stem = element.findtext("questiontext/text") or ""
+    children = {}
+    for child in element:
+        children.setdefault(child.tag, []).append(child)
+    name = _first_text(children.get("name", ()))
+    stem = _first_text(children.get("questiontext", ()))
+    answers = children.get("answer", ())
     if qtype == QuestionKind.SHORT_ANSWER.value:
-        answers = [ans.findtext("text") or "" for ans in element.findall("answer")]
+        answers = [ans.findtext("text") or "" for ans in answers]
         return Question(QuestionKind.SHORT_ANSWER, name, stem, ShortAnswerSet(answers))
     if qtype == QuestionKind.NUMERICAL.value:
-        answers = []
+        values = []
         tolerance = 0.0
-        for position, ans in enumerate(element.findall("answer")):
-            answers.append(parse_number(ans.findtext("text") or "0"))
+        for position, ans in enumerate(answers):
+            values.append(parse_number(ans.findtext("text") or "0"))
             tol_text = ans.findtext("tolerance")
             if tol_text is not None:
                 parsed = parse_number(tol_text)
@@ -237,10 +255,11 @@ def _parse_question(element, qtype, bank):
                         f"keeping {tolerance}"
                     )
         return Question(
-            QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(answers, tolerance)
+            QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(values, tolerance)
         )
     if qtype == QuestionKind.MULTIPLE_CHOICE.value:
-        single = (element.findtext("single") or "true").strip().lower()
+        singles = children.get("single")
+        single = ((singles[0].text if singles else None) or "true").strip().lower()
         if single in ("false", "0"):
             bank.warn(
                 f"skipping multi-select multiple-choice question {name!r} "
@@ -249,13 +268,21 @@ def _parse_question(element, qtype, bank):
             return None
         choices = [
             Choice(ans.findtext("text") or "", float(ans.get("fraction", "0")))
-            for ans in element.findall("answer")
+            for ans in answers
         ]
         return Question(QuestionKind.MULTIPLE_CHOICE, name, stem, ChoiceSet(choices))
-    if qtype == QuestionKind.MATCHING.value:
-        pairs = [
-            (sub.findtext("text") or "", sub.findtext("answer/text") or "")
-            for sub in element.findall("subquestion")
-        ]
-        return Question(QuestionKind.MATCHING, name, stem, MatchPairList(pairs))
-    return None
+    # Matching, the last of the supported types parse_bank lets through.
+    pairs = [
+        (sub.findtext("text") or "", _first_text(sub.findall("answer")))
+        for sub in children.get("subquestion", ())
+    ]
+    return Question(QuestionKind.MATCHING, name, stem, MatchPairList(pairs))
+
+
+def _first_text(elements) -> str:
+    # findtext("<tag>/text") over these <tag> elements, minus the path parser.
+    for element in elements:
+        text = element.find("text")
+        if text is not None:
+            return text.text or ""
+    return ""

@@ -108,32 +108,27 @@ def build_preview_html(bank, math="cdn") -> str:
     parts.append(f"<h1>Question bank preview &mdash; {source}</h1>")
     if not bank.questions:
         parts.append('<p class="empty-notice">This bank contains no questions.</p>')
-    shown_category = None
+    shown_category = ""
     for index, question in enumerate(bank.questions, start=1):
         category = question.category
-        if (shown_category is None and category) or (
-            shown_category is not None and category != shown_category
-        ):
+        if category != shown_category:
             heading = category.replace("/", " / ") if category else "Default category"
             parts.append(f'<h2 class="category">{html.escape(heading)}</h2>')
             shown_category = category
         parts.append(_question_block(question, index))
-    parts.append("</main>")
-    parts.append("</body>")
-    parts.append("</html>")
-    return "\n".join(parts) + "\n"
+    # The trailing newline rides on the last part, so the page is joined once.
+    parts += ["</main>", "</body>", "</html>\n"]
+    return "\n".join(parts)
 
 
 def _math_script(math):
     if math is None:
         return []
     if math == "cdn":
-        return [
-            f"<script>{_MATH_CONFIG}</script>",
-            f'<script async src="{MATHJAX_CDN_URL}"></script>',
-        ]
-    source = Path(math).read_text(encoding="utf-8")
-    return [f"<script>{_MATH_CONFIG}</script>", f"<script>{source}</script>"]
+        renderer = f'<script async src="{MATHJAX_CDN_URL}"></script>'
+    else:
+        renderer = f"<script>{Path(math).read_text(encoding='utf-8')}</script>"
+    return [f"<script>{_MATH_CONFIG}</script>", renderer]
 
 
 def _question_block(question, index) -> str:
@@ -186,18 +181,16 @@ def _choices_body(payload) -> str:
 
 
 def _matching_body(payload) -> str:
-    # One drop-down per prompt, options in pair order, own match selected.
+    # One drop-down per prompt, options in pair order, the first option equal
+    # to its own match selected.
     options_in_order = [match for _, match in payload.pairs]
     rows = ['<table class="match-pairs">']
     for prompt, match in payload.pairs:
-        options = []
-        selected_done = False
-        for option in options_in_order:
-            selected = ""
-            if option == match and not selected_done:
-                selected = " selected"
-                selected_done = True
-            options.append(f"<option{selected}>{html.escape(option)}</option>")
+        first = options_in_order.index(match)
+        options = [
+            f"<option{' selected' if i == first else ''}>{html.escape(option)}</option>"
+            for i, option in enumerate(options_in_order)
+        ]
         rows.append(
             f'<tr><td class="match-prompt">{prompt}</td>'
             f"<td><select disabled>{''.join(options)}</select></td></tr>"

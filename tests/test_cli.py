@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, atomicity, backups, reports."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quizbank
 from quizbank import parse_bank, serialize_bank
 from quizbank.cli import main
 
@@ -299,3 +303,43 @@ class TestFailureMessages:
         assert len(_error_lines(capsys.readouterr().err)) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_media_threshold_is_usage_error(self, bank_file, capsys, value):
+        assert main(["stats", str(bank_file), "--media-warn-mb", value]) == 1
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and "Traceback" not in err
+
+    def test_huge_media_threshold_is_accepted(self, bank_file, capsys):
+        assert main(["stats", str(bank_file), "--media-warn-mb", "1e308"]) == 0
+        assert "WARN:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "new", ["\udcff", "\x07", "\r", "\ufffe"], ids=["surrogate", "bell", "cr", "fffe"]
+    )
+    def test_unencodable_edit_is_rejected_before_backup(self, bank_file, capsys, new):
+        before = bank_file.read_bytes()
+        listing = sorted(p.name for p in bank_file.parent.iterdir())
+        code = main(["maintain", str(bank_file), "replace-text", "Paris", new])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and "Traceback" not in err
+        assert "question 'capitals' contains" in err
+        assert bank_file.read_bytes() == before
+        assert sorted(p.name for p in bank_file.parent.iterdir()) == listing
+
+    def test_undecodable_argv_byte_exits_2(self, bank_file):
+        # The shell passes $'\xff' as a raw byte; Python (in UTF-8 mode, as
+        # under any UTF-8 or C locale) decodes it to a lone surrogate.
+        before = bank_file.read_bytes()
+        src = Path(quizbank.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "1"}
+        argv = [sys.executable, "-m", "quizbank.cli", "maintain", str(bank_file)]
+        result = subprocess.run(
+            [*argv, "replace-text", "Paris", b"\xff"], env=env, capture_output=True
+        )
+        err = result.stderr.decode("utf-8", "replace")
+        assert result.returncode == 2, err
+        assert len(_error_lines(err)) == 1 and "Traceback" not in err
+        assert bank_file.read_bytes() == before
+        assert [p.name for p in bank_file.parent.iterdir()] == [bank_file.name]
