@@ -35,7 +35,6 @@ from .model import (
     QuestionKind,
     ShortAnswerSet,
     normalize,
-    normalize_newlines,
     render_text,
     require_finite_number,
     validate_category_path,
@@ -113,11 +112,9 @@ class QuestionBank:
         answers = _as_answer_list(answers)
         if not answers:
             raise ValidationError("a short-answer question needs at least one answer")
-        texts = [normalize_newlines(render_text(a)) for a in answers]
+        texts = [render_text(a) for a in answers]
         _reject_duplicates(texts, "short answer")
-        self._append(
-            Question(QuestionKind.SHORT_ANSWER, str(name), stem, ShortAnswerSet(texts))
-        )
+        self._append(QuestionKind.SHORT_ANSWER, name, stem, ShortAnswerSet(texts))
 
     def addNumerical(self, name, question, answers, tolerance=0.01) -> None:
         """Append a numerical question accepting each answer within ±tolerance."""
@@ -132,22 +129,17 @@ class QuestionBank:
         if tolerance < 0:
             raise ValidationError(f"tolerance must be non-negative, got {tolerance}")
         self._append(
-            Question(
-                QuestionKind.NUMERICAL,
-                str(name),
-                stem,
-                NumericalAnswerSet(answers, float(tolerance)),
-            )
+            QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(answers, float(tolerance))
         )
 
     def addMultipleChoice(self, name, question, choices) -> None:
         """Append a single-answer multiple-choice question.
 
         The first element of ``choices`` is the correct one (graded +100);
-        the rest receive the bank's wrong-answer fraction. Values that are
-        not strings are rendered to text deterministically. If two choices
-        render to the same text the question is rejected with a warning
-        and the bank is left unchanged.
+        the rest receive the bank's wrong-answer fraction. Values are
+        rendered with str(), line breaks as LF. If two choices render to
+        the same trimmed text the question is rejected with a warning and
+        the bank is left unchanged.
         """
         self._require_open()
         stem = self._check_stem(question)
@@ -178,14 +170,9 @@ class QuestionBank:
         pairs = list(pairs)
         if len(pairs) < 2:
             raise ValidationError("a matching question needs at least 2 pairs")
-        rendered = [
-            (normalize_newlines(render_text(p)), normalize_newlines(render_text(m)))
-            for p, m in pairs
-        ]
+        rendered = [(render_text(p), render_text(m)) for p, m in pairs]
         _reject_duplicates([p for p, _ in rendered], "matching prompt")
-        self._append(
-            Question(QuestionKind.MATCHING, str(name), stem, MatchPairList(rendered))
-        )
+        self._append(QuestionKind.MATCHING, name, stem, MatchPairList(rendered))
 
     # -- random generation (pool-based) --------------------------------------
 
@@ -303,22 +290,16 @@ class QuestionBank:
     def _check_stem(self, question) -> str:
         if not isinstance(question, str) or not question.strip():
             raise ValidationError("question text must be a non-empty string")
-        return normalize_newlines(question)
+        return render_text(question)
 
-    def _append(self, question: Question) -> None:
-        question.category = self.category
-        question.name = normalize_newlines(question.name)
-        self.questions.append(question)
+    def _append(self, kind, name, stem, payload) -> None:
+        self.questions.append(Question(kind, render_text(name), stem, payload, self.category))
 
     def _append_mcq(self, name, stem, correct_text, distractor_texts) -> None:
-        # Callers have already guaranteed pairwise-distinct texts.
+        # Callers pass a checked stem and canonical, pairwise-distinct texts.
         wrong = self.wrong_fraction_rule(1 + len(distractor_texts))
-        built = [Choice(normalize_newlines(correct_text), 100.0)]
-        built += [Choice(normalize_newlines(t), wrong) for t in distractor_texts]
-        stem = self._check_stem(stem)
-        self._append(
-            Question(QuestionKind.MULTIPLE_CHOICE, str(name), stem, ChoiceSet(built))
-        )
+        built = [Choice(correct_text, 100.0)] + [Choice(t, wrong) for t in distractor_texts]
+        self._append(QuestionKind.MULTIPLE_CHOICE, name, stem, ChoiceSet(built))
 
 
 def _as_answer_list(answers) -> list:

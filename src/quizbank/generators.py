@@ -143,6 +143,7 @@ def generate_complete_code(
     _require_single_placeholder(pattern)
     if not isinstance(source_text, str) or not source_text:
         raise ValidationError("source text must be a non-empty string")
+    source_text = render_text(source_text)  # tokens are canonical texts too
     blank = BLANK_MARKER if blank is None else blank
     token_texts = _unique_texts(tokens)
     if not token_texts:
@@ -171,16 +172,18 @@ def generate_complete_code(
 def _generate(bank, title, pool, slots, num_questions):
     """Append questions built from ``slots`` and return how many were added.
 
-    ``pool`` holds rendered, deduplicated distractor texts. A slot is a
-    (correct text, stem) pair; its distractors are the pool minus the entry
-    equal to its correct text, if any. Slots sharing a correct answer share
-    one space of C(m, 3) distractor subsets, so the exact capacity is the
-    sum of C(m, 3) over the distinct answers. Each answer draws the subset
-    ranks it needs without replacement and unranks them, which keeps every
+    Every stem is checked before the bank or its RNG changes, so a call
+    that raises leaves both as they were. ``pool`` holds rendered,
+    deduplicated distractor texts. A slot is a (correct text, stem) pair;
+    its distractors are the pool minus the entry equal to its correct
+    text, if any. Slots sharing a correct answer share one space of
+    C(m, 3) distractor subsets, so the exact capacity is the sum of
+    C(m, 3) over the distinct answers. Each answer draws the subset ranks
+    it needs without replacement and unranks them, which keeps every
     question of the call distinct without rejection sampling.
     """
+    slots = [(normalize(correct), correct, bank._check_stem(stem)) for correct, stem in slots]
     where = {normalize(text): i for i, text in enumerate(pool)}
-    slots = [(normalize(correct), correct, stem) for correct, stem in slots]
     # Per distinct answer: the pool index it leaves out (len(pool) when it
     # is not in the pool), and its number of distractor subsets.
     spaces = {}

@@ -43,8 +43,9 @@ def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
 def set_wrong_penalty(bank, fraction) -> int:
     """Set the grade fraction of every wrong multiple-choice alternative.
 
-    Correct alternatives (+100) are never touched, and neither is any
-    other question kind. Returns the number of questions modified.
+    Wrong means a fraction of 0 or less: correct (+100) and partial-credit
+    alternatives keep theirs, and other question kinds are never touched.
+    Returns the number of questions with at least one wrong alternative.
     """
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
         raise ValidationError(f"penalty fraction must be a number, got {fraction!r}")
@@ -57,7 +58,7 @@ def set_wrong_penalty(bank, fraction) -> int:
     for question in bank.questions:
         if question.kind is not QuestionKind.MULTIPLE_CHOICE:
             continue
-        wrong = [c for c in question.payload.choices if c.fraction != 100]
+        wrong = [c for c in question.payload.choices if c.fraction <= 0]
         if not wrong:
             continue
         for choice in wrong:

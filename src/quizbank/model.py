@@ -75,17 +75,14 @@ class Question:
 
 
 def render_text(value) -> str:
-    """Deterministic text form of a choice/answer/key value.
+    """Canonical text of a choice/answer/key/name value: ``str(value)``
+    with every ``\\r\\n`` and ``\\r`` turned into ``\\n``.
 
-    Strings pass through unchanged; floats use their shortest round-trip
-    representation; everything else (ints, tuples, symbolic objects, ...)
-    falls back to str().
+    XML parsers turn both line breaks into LF, so every duplicate and
+    capacity check compares texts in this form, and the output round-trips
+    byte for byte. Built-in floats print their shortest round-trip form.
     """
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def normalize(text: str) -> str:
@@ -93,19 +90,14 @@ def normalize(text: str) -> str:
     return text.strip()
 
 
-def normalize_newlines(text: str) -> str:
-    # XML parsers normalize \r\n and \r to \n, which would break byte-exact
-    # round-trips; normalize up front instead.
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def canonical_number(value) -> str:
-    """Stable text form for a numeric answer or tolerance."""
+    """Stable text form for a numeric answer or tolerance: the plain int or
+    float form, also for subclasses that print differently."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a number, got {value!r}")
     if isinstance(value, int):
-        return str(value)
-    return repr(value)
+        return str(int(value))
+    return repr(float(value))
 
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -132,4 +124,7 @@ def validate_category_path(path: str) -> str:
         raise ValidationError(f"category path must be a string, got {path!r}")
     if path and any(not segment for segment in path.split("/")):
         raise ValidationError(f"category path {path!r} contains an empty segment")
+    if path != path.rstrip():
+        # Readers strip the marker text, so the path would not round-trip.
+        raise ValidationError(f"category path {path!r} ends in whitespace")
     return path

@@ -1,12 +1,18 @@
 """Single-question builders, bank lifecycle, and model invariants."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizbank import (
+    CapacityError,
     QuestionBank,
     QuizbankError,
     ValidationError,
     default_wrong_fraction,
+    parse_bank,
     serialize_bank,
 )
 
@@ -51,6 +57,24 @@ class TestSetCategory:
             bank.setCategory("A//B")
         with pytest.raises(ValidationError):
             bank.setCategory("/A")
+
+    @pytest.mark.parametrize("path", ["Topic ", " ", "A/B\n"])
+    def test_trailing_whitespace_rejected(self, make_bank, path):
+        # The reader strips the marker text, so such a path cannot round-trip.
+        bank = make_bank()
+        with pytest.raises(ValidationError, match="ends in whitespace"):
+            bank.setCategory(path)
+        assert bank.category == ""
+
+    @pytest.mark.parametrize("path", [" Topic", "A / B"])
+    def test_padded_segments_round_trip(self, make_bank, path):
+        bank = make_bank()
+        bank.setCategory(path)
+        bank.addShortAnswer("", "Q?", ["x"])
+        data = serialize_bank(bank)
+        recovered = parse_bank(data)
+        assert recovered.questions[0].category == path
+        assert serialize_bank(recovered) == data
 
 
 class TestShortAnswer:
@@ -260,3 +284,92 @@ class TestDeterministicOutput:
             return path.read_bytes()
 
         assert build(tmp_path / "one.xml") == build(tmp_path / "two.xml")
+
+
+class Float64(float):
+    """Stand-in for numpy.float64: str() gives the plain float form, repr()
+    names the type."""
+
+    def __str__(self):
+        return float.__repr__(self)
+
+    def __repr__(self):
+        return f"np.float64({float.__repr__(self)})"
+
+
+def canonical(text):
+    """Reference for the comparison key: line breaks as LF, then trimmed."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").strip()
+
+
+class TestCanonicalText:
+    def test_choices_differing_only_in_line_breaks_are_duplicates(self, make_bank, capsys):
+        bank = make_bank()
+        bank.addMultipleChoice("", "q", ["a\r\nb", "a\nb", "c"])
+        bank.addMultipleChoice("", "q", ["a\rb", "c", "a\nb"])
+        assert len(bank) == 0
+        assert capsys.readouterr().err.count("WARN: duplicated choice text") == 2
+
+    def test_float_subclass_round_trips(self, make_bank):
+        bank = make_bank()
+        bank.addMultipleChoice("", "Pick one", [Float64(0.5), Float64(0.25), 1])
+        bank.addNumerical("", "Value?", [Float64(0.1), 3], tolerance=Float64(0.05))
+        data = serialize_bank(bank)
+        assert b"np.float64" not in data
+        recovered = parse_bank(data)
+        assert serialize_bank(recovered) == data
+        assert [c.text for c in recovered.questions[0].payload.choices] == ["0.5", "0.25", "1"]
+        assert recovered.questions[1].payload.answers == [0.1, 3]
+        assert recovered.questions[1].payload.tolerance == 0.05
+
+
+# Line breaks drawn often, and between letters, where trimming keeps them.
+_LF_TEXT = st.lists(st.sampled_from(["a", "b", " ", "\t", "\n", "a\nb"]), max_size=4).map("".join)
+_BREAK = st.sampled_from(["\r\n", "\r", "\n"])
+
+
+@st.composite
+def spelled_texts(draw, min_size, max_size):
+    """Padded texts, each written out once or twice with every line break
+    spelled \\r\\n, \\r or \\n at random, in shuffled order."""
+    spelled = [
+        "".join(draw(_BREAK) if ch == "\n" else ch for ch in text)
+        for text in draw(st.lists(_LF_TEXT, min_size=min_size, max_size=max_size))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return draw(st.permutations(spelled))
+
+
+class TestBuilderTextProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        choices=spelled_texts(2, 4),
+        correct=spelled_texts(1, 3),
+        distractors=spelled_texts(3, 6),
+    )
+    def test_distinct_choices_exact_capacity_and_round_trip(self, choices, correct, distractors):
+        bank = QuestionBank(None, seed=0)
+        bank.addMultipleChoice("", "Pick\r\none", choices)
+        keys = [canonical(t) for t in choices]
+        assert len(bank) == (len(set(keys)) == len(keys))
+
+        correct_keys = {canonical(t) for t in correct}
+        distractor_keys = {canonical(t) for t in distractors}
+        if correct_keys & distractor_keys or len(distractor_keys) < 3:
+            with pytest.raises(ValidationError):
+                bank.addMultipleChoiceFromLists("", "Pick\rone", correct, distractors)
+        else:
+            bank.addMultipleChoiceFromLists("", "Pick\rone", correct, distractors)
+            capacity = len(correct_keys) * math.comb(len(distractor_keys), 3)
+            before = (len(bank), bank.rng.getstate())
+            with pytest.raises(CapacityError):
+                bank.addMultipleChoiceFromLists(
+                    "", "Pick\rone", correct, distractors, capacity + 1
+                )
+            assert (len(bank), bank.rng.getstate()) == before
+
+        for question in bank.questions:
+            texts = [canonical(c.text) for c in question.payload.choices]
+            assert len(set(texts)) == len(texts)
+        data = serialize_bank(bank)
+        assert serialize_bank(parse_bank(data)) == data

@@ -524,6 +524,57 @@ class TestExactCapacity:
         assert len(bank.warnings) == 1
 
 
+class TestCanonicalLineBreaks:
+    """Texts that differ only in \\r\\n, \\r or \\n are one text."""
+
+    def test_lists_count_capacity_over_canonical_texts(self, make_bank):
+        bank = make_bank(seed=1)
+        distractors = ["p\r\nq", "p\nq", "p\rq", "r", "s", "t"]
+        with pytest.raises(CapacityError, match="at most 4 "):
+            bank.addMultipleChoiceFromLists("t", "q?", ["x"], distractors, 5)
+        assert bank.addMultipleChoiceFromLists("t", "q?", ["x"], distractors, 4) == 4
+        assert_generated_invariants(bank.questions)
+
+    def test_pairs_collapse_answers(self, make_bank):
+        bank = make_bank(seed=1)
+        pairs = [("k1", "a\r\nb"), ("k2", "a\nb"), ("k3", "c"), ("k4", "d"), ("k5", "e")]
+        with pytest.raises(CapacityError, match="at most 4 "):
+            bank.addMultipleChoiceFromPairs("t", "%s?", pairs, num_questions=5)
+        assert bank.addMultipleChoiceFromPairs("t", "%s?", pairs, num_questions=4) == 4
+        assert_generated_invariants(bank.questions)
+
+    def test_complete_code_tokens_match_crlf_source(self, make_bank):
+        bank = make_bank(seed=1)
+        source = "if x:\r\n    y = 1\r\nelse:\r\n    z = 2\r\n"
+        tokens = ["x:\r\n    y", "x:\n    y", "z", "else", "2"]
+        assert bank.addCompleteCode("t", "<pre>%s</pre>", source, tokens) == 4
+        assert_generated_invariants(bank.questions)
+        assert all("\r" not in question.stem for question in bank.questions)
+
+
+class TestFailedCallLeavesBankUnchanged:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bank: bank.addMultipleChoiceFromPairs(
+                "t", "%s", [(" ", "a"), ("k", "b"), ("m", "c"), ("n", "d"), ("o", "e")]
+            ),
+            lambda bank: bank.addMultipleChoiceFromLists("t", " \r\n", ["a", "b"], ["c", "d", "e"]),
+            lambda bank: bank.addCompleteCode("t", "%s", "tok", ["tok"], ["x", "y", "z"], blank=" "),
+        ],
+        ids=["pairs", "lists", "complete-code"],
+    )
+    def test_invalid_stem_changes_nothing(self, make_bank, call):
+        bank = make_bank(seed=2)
+        bank.addShortAnswer("", "Q?", ["a"])
+        state = bank.rng.getstate()
+        with pytest.raises(ValidationError, match="question text"):
+            call(bank)
+        assert len(bank) == 1
+        assert bank.rng.getstate() == state
+        assert bank.warnings == []
+
+
 class TestUnranking:
     def test_bijection_onto_triples(self):
         for m in range(3, 10):

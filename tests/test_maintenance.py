@@ -100,6 +100,33 @@ class TestSetWrongPenalty:
         assert serialize_bank(rich_bank) == before
 
 
+    def test_partial_credit_kept_on_foreign_bank(self):
+        bank = parse_bank(FOREIGN_PARTIAL_CREDIT)
+        assert set_wrong_penalty(bank, -10) == 1
+        assert [c.fraction for c in bank.questions[0].payload.choices] == [100, 50, -10, -10]
+        assert [c.fraction for c in bank.questions[1].payload.choices] == [100, 50]
+
+
+FOREIGN_PARTIAL_CREDIT = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="multichoice">
+    <name><text>partial</text></name>
+    <questiontext format="html"><text>Pick</text></questiontext>
+    <answer fraction="100"><text>right</text></answer>
+    <answer fraction="50"><text>half right</text></answer>
+    <answer fraction="-25"><text>wrong</text></answer>
+    <answer fraction="0"><text>neutral</text></answer>
+  </question>
+  <question type="multichoice">
+    <name><text>no wrong choice</text></name>
+    <questiontext format="html"><text>Pick</text></questiontext>
+    <answer fraction="100"><text>right</text></answer>
+    <answer fraction="50"><text>half right</text></answer>
+  </question>
+</quiz>
+"""
+
+
 class TestComposition:
     def test_maintain_parse_serialize_pipeline(self, rich_bank):
         data = serialize_bank(rich_bank)
