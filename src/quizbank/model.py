@@ -8,6 +8,7 @@ rendering rules live here.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -92,10 +93,11 @@ def normalize(text: str) -> str:
 
 def canonical_number(value) -> str:
     """Stable text form for a numeric answer or tolerance: the plain int or
-    float form, also for subclasses that print differently."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    float form of any real number (numpy scalars, Fraction), whatever its
+    own str or repr prints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return repr(float(value))
 
@@ -112,7 +114,7 @@ def parse_number(text: str) -> int | float:
 
 
 def require_finite_number(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")

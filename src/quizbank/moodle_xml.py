@@ -7,16 +7,16 @@ text (stems, choice texts, matching prompts) is wrapped in CDATA so that
 embedded markup and base64 data URIs stay readable; plain text nodes are
 entity-escaped instead.
 
-The parser also accepts documents from other tools as long as they are
-well-formed and use the same dialect; question types outside the
-supported set are skipped with a warning so that maintenance tooling can
-operate on mixed banks.
+The parser reads a document in the writer's own layout with a direct scan
+of that layout. It also accepts documents from other tools, through
+ElementTree, as long as they are well-formed and use the same dialect;
+question types outside the supported set are skipped with a warning so
+that maintenance tooling can operate on mixed banks.
 """
 
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 
 from .bank import QuestionBank
 from .errors import BankParseError, QuizbankError
@@ -38,14 +38,47 @@ XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 # importers; the bank-level path "A/B" becomes "$course$/top/A/B".
 CATEGORY_PREFIX = "$course$/top"
 
-_SUPPORTED_TYPES = {kind.value for kind in QuestionKind}
+_KINDS = {kind.value: kind for kind in QuestionKind}
 
 # XML 1.0 cannot carry the C0 controls but tab and LF (a parser turns CR into
-# LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates. The
-# surrogates fail the UTF-8 encode; the rest appear as these byte sequences.
-_UNENCODABLE_BYTES = [bytes([c]) for c in range(0x20) if c not in b"\t\n"]
-_UNENCODABLE_BYTES += [b"\xef\xbf\xbe", b"\xef\xbf\xbf"]
-_UNENCODABLE = re.compile("[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]")
+# LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates.
+# Only a failing write searches for them, so re compiles this on first use.
+_UNENCODABLE = "[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
+# Every byte but those C0 controls: deleting these leaves the illegal ones.
+_LEGAL_BYTES = bytes(c for c in range(256) if c >= 0x20 or c in b"\t\n")
+
+# The writer's layout as _parse_own_layout reads it back: escaped text is
+# [^<>]* (_unescape checks its entities), CDATA text is read by _cdata.
+_OWN_HEAD = XML_DECLARATION + "\n<quiz>\n"
+_CATEGORY_BLOCK = re.compile(
+    '  <question type="category">\n    <category>\n      <text>([^<>]*)</text>\n'
+    "    </category>\n  </question>\n"
+)
+_QUESTION_HEAD = re.compile(
+    '  <question type="(shortanswer|numerical|multichoice|matching)">\n    <name>\n'
+    '      <text>([^<>]*)</text>\n    </name>\n    <questiontext format="html">\n'
+    r"      <text><!\[CDATA\["
+)
+# What follows each kind's stem: the end of its CDATA, then its fixed elements.
+_STEM_CLOSE = {
+    kind: "]]></text>\n    </questiontext>\n" + fixed
+    for kind, fixed in [
+        ("shortanswer", "    <usecase>0</usecase>\n"),
+        ("numerical", ""),
+        (
+            "multichoice",
+            "    <single>true</single>\n    <shuffleanswers>true</shuffleanswers>\n"
+            "    <answernumbering>none</answernumbering>\n",
+        ),
+        ("matching", "    <shuffleanswers>true</shuffleanswers>\n"),
+    ]
+}
+_ANSWER = '    <answer fraction="100">\n      <text>([^<>]*)</text>\n'
+_SHORT_ANSWER = re.compile(_ANSWER + "    </answer>\n")
+_NUMERICAL_ANSWER = re.compile(_ANSWER + "      <tolerance>([^<>]*)</tolerance>\n    </answer>\n")
+_CHOICE = re.compile(r'    <answer fraction="([^"<&]*)" format="html">\n      <text><!\[CDATA\[')
+_SUBQUESTION = '    <subquestion format="html">\n      <text><![CDATA['
+_MATCH = re.compile("([^<>]*)</text>\n      </answer>\n    </subquestion>\n")
 
 
 def escape_for_cdata(text: str) -> str:
@@ -81,12 +114,13 @@ def serialize_bank(bank) -> bytes:
             _emit_category(lines, emitted_category)
         _emit_question(lines, question)
     lines.append("</quiz>\n")  # ends the join with a newline, without a copy
+    text = "\n".join(lines)
     try:
-        data = "\n".join(lines).encode("utf-8")
+        data = text.encode("utf-8")
     except UnicodeEncodeError:
         raise _unencodable_error(bank) from None
-    # One C-speed scan of the whole document; only a hit walks the questions.
-    if any(sequence in data for sequence in _UNENCODABLE_BYTES):
+    # One scan of the whole document; only a hit walks the questions.
+    if not _xml_legal(text, data):
         raise _unencodable_error(bank)
     return data
 
@@ -102,6 +136,13 @@ def parse_bank(data) -> QuestionBank:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            return _parse_own_layout(data)
+        except ValueError:
+            pass  # not the writer's layout byte for byte: ElementTree reads it
+    import xml.etree.ElementTree as ET  # only other layouts pay for its import
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -123,10 +164,10 @@ def parse_bank(data) -> QuestionBank:
             continue
         qtype = element.get("type", "")
         if qtype == "category":
-            current_category = _parse_category(element)
+            current_category = _category_path(element.findtext("category/text") or "")
             continue
         number += 1
-        if qtype not in _SUPPORTED_TYPES:
+        if qtype not in _KINDS:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
         try:
@@ -197,6 +238,16 @@ def _emit_question(lines, question) -> None:
     lines.append("  </question>")
 
 
+def _xml_legal(text: str, data) -> bool:
+    """Whether text, encoded as data, holds only characters XML can carry.
+    One pass over the bytes finds C0 controls; U+FFFE/U+FFFF are sought in
+    the str, where the search is free unless it holds such wide characters.
+    """
+    return not data.translate(None, _LEGAL_BYTES) and not (
+        "\ufffe" in text or "\uffff" in text
+    )
+
+
 def _unencodable_error(bank) -> QuizbankError:
     """Name the first category or question, in document order, that holds
     a character XML cannot encode."""
@@ -207,7 +258,7 @@ def _unencodable_error(bank) -> QuizbankError:
             (f"category {question.category!r}", question.category),
             (f"question {question.name or f'question #{index}'!r}", "\n".join(lines)),
         ):
-            found = _UNENCODABLE.search(text)
+            found = re.search(_UNENCODABLE, text)
             if found:
                 what = "control character" if found[0] < " " else "character"
                 return QuizbankError(
@@ -219,8 +270,99 @@ def _unencodable_error(bank) -> QuizbankError:
 # -- parser ---------------------------------------------------------------
 
 
-def _parse_category(element) -> str:
-    raw = (element.findtext("category/text") or "").strip()
+def _parse_own_layout(data) -> QuestionBank:
+    """Read a document in serialize_bank's exact layout, the inverse of
+    _emit_category and _emit_question. Raise ValueError at the first byte
+    that departs from it, so that ElementTree reads the document instead.
+    """
+    text = data.decode("utf-8")
+    if not (_xml_legal(text, data) and text.startswith(_OWN_HEAD)):
+        raise ValueError("not the writer's layout")
+    bank = QuestionBank(output_path=None)
+    pos = len(_OWN_HEAD)
+    while not text.startswith("</quiz>\n", pos):
+        head = _QUESTION_HEAD.match(text, pos)
+        if head is None:
+            block = _CATEGORY_BLOCK.match(text, pos)
+            if block is None:
+                raise ValueError("not the writer's layout")
+            bank.category = _category_path(_unescape(block[1]))
+            pos = block.end()
+            continue
+        kind = head[1]
+        stem, pos = _cdata(text, head.end(), _STEM_CLOSE[kind])
+        if kind == "shortanswer":
+            answers = []
+            while item := _SHORT_ANSWER.match(text, pos):
+                answers.append(_unescape(item[1]))
+                pos = item.end()
+            payload = ShortAnswerSet(answers)
+        elif kind == "numerical":
+            values, tolerances = [], set()
+            while item := _NUMERICAL_ANSWER.match(text, pos):
+                values.append(parse_number(_unescape(item[1])))
+                tolerances.add(item[2])
+                pos = item.end()
+            if len(tolerances) > 1:  # ElementTree's path warns about these
+                raise ValueError("differing tolerances")
+            tolerance = parse_number(_unescape(tolerances.pop())) if tolerances else 0.0
+            payload = NumericalAnswerSet(values, tolerance)
+        elif kind == "multichoice":
+            choices = []
+            while item := _CHOICE.match(text, pos):
+                choice, pos = _cdata(text, item.end(), "]]></text>\n    </answer>\n")
+                choices.append(Choice(choice, float(item[1])))
+            payload = ChoiceSet(choices)
+        else:
+            pairs = []
+            while text.startswith(_SUBQUESTION, pos):
+                start = pos + len(_SUBQUESTION)
+                prompt, pos = _cdata(text, start, "]]></text>\n      <answer>\n        <text>")
+                if (item := _MATCH.match(text, pos)) is None:
+                    raise ValueError("not the writer's layout")
+                pairs.append((prompt, _unescape(item[1])))
+                pos = item.end()
+            payload = MatchPairList(pairs)
+        if not text.startswith("  </question>\n", pos):
+            raise ValueError("not the writer's layout")
+        pos += len("  </question>\n")
+        question = Question(_KINDS[kind], _unescape(head[2]), stem, payload, bank.category)
+        bank.questions.append(question)
+    if pos + len("</quiz>\n") != len(text):
+        raise ValueError("trailing data")
+    return bank
+
+
+def _unescape(raw: str) -> str:
+    """Inverse of escape_xml_text; ValueError on any other entity."""
+    if "&" not in raw:
+        return raw
+    if raw.count("&") != raw.count("&amp;") + raw.count("&lt;") + raw.count("&gt;"):
+        raise ValueError("foreign entity")
+    return raw.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
+
+
+def _cdata(text: str, start: int, close: str):
+    """Read the CDATA text from start up to close, its "]]></text>" and
+    the tags after it; return the text and the position after close.
+
+    escape_for_cdata's splits are undone. Any other "]]>", such as a
+    "]]></text>" before close, ends the section elsewhere: ValueError.
+    """
+    stop = text.find(close, start)
+    if stop < 0:
+        raise ValueError("unterminated CDATA")
+    raw = text[start:stop]
+    if "]]>" in raw:
+        parts = raw.split("]]]]><![CDATA[>")
+        if any("]]>" in part for part in parts):
+            raise ValueError("CDATA not split by the writer")
+        raw = "]]>".join(parts)
+    return raw, stop + len(close)
+
+
+def _category_path(marker: str) -> str:
+    raw = marker.strip()
     if raw == CATEGORY_PREFIX or raw.startswith(CATEGORY_PREFIX + "/"):
         raw = raw[len(CATEGORY_PREFIX):]
     elif raw.startswith("$course$/"):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import html
 import os
 import tempfile
-import webbrowser
 from pathlib import Path
 
 from .fileio import atomic_write_bytes
@@ -79,6 +78,8 @@ def open_preview(bank):
     other. When no browser can be launched, the path is printed instead.
     Returns the path.
     """
+    import webbrowser  # here, not at the top: every CLI process would pay for it
+
     fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
     os.close(fd)
     path = render_preview(bank, name)

@@ -1,6 +1,7 @@
 """Single-question builders, bank lifecycle, and model invariants."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,36 @@ class TestCanonicalText:
         assert [c.text for c in recovered.questions[0].payload.choices] == ["0.5", "0.25", "1"]
         assert recovered.questions[1].payload.answers == [0.1, 3]
         assert recovered.questions[1].payload.tolerance == 0.05
+
+    def test_fraction_answers_and_tolerance(self, make_bank):
+        bank = make_bank()
+        bank.addNumerical("", "Value?", [Fraction(1, 4), Fraction(6, 3)], Fraction(1, 20))
+        data = serialize_bank(bank)
+        assert b"<text>0.25</text>" in data and b"<text>2.0</text>" in data
+        assert b"<tolerance>0.05</tolerance>" in data
+        recovered = parse_bank(data)
+        assert recovered.questions[0].payload.answers == [0.25, 2.0]
+        assert serialize_bank(recovered) == data
+
+    def test_numpy_scalar_answers_and_tolerance(self, make_bank):
+        np = pytest.importorskip("numpy")
+        bank = make_bank()
+        answers = [np.int64(3), np.float32(0.1), np.float64(-2.5), np.int8(-7)]
+        bank.addNumerical("", "Value?", answers, tolerance=np.float32(0.5))
+        data = serialize_bank(bank)
+        for text in (b"3", b"0.10000000149011612", b"-2.5", b"-7"):
+            assert b"<text>%s</text>" % text in data
+        assert data.count(b"<tolerance>0.5</tolerance>") == 4
+        recovered = parse_bank(data)
+        assert recovered.questions[0].payload.answers == [3, 0.10000000149011612, -2.5, -7]
+        assert serialize_bank(recovered) == data
+
+    @pytest.mark.parametrize("value", [True, "3", None, complex(1, 0)])
+    def test_non_real_answers_rejected(self, make_bank, value):
+        bank = make_bank()
+        with pytest.raises(ValidationError, match="numerical answer must be a number"):
+            bank.addNumerical("", "Value?", [value])
+        assert len(bank) == 0
 
 
 # Line breaks drawn often, and between letters, where trimming keeps them.

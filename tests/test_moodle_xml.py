@@ -1,6 +1,8 @@
 """Serialization dialect, CDATA handling, and round-trip guarantees."""
 
 import re
+import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,15 @@ from quizbank import (
     parse_bank,
     serialize_bank,
 )
-from quizbank.model import Choice, ChoiceSet, MatchPairList, Question, ShortAnswerSet
+from quizbank import moodle_xml
+from quizbank.model import (
+    Choice,
+    ChoiceSet,
+    MatchPairList,
+    NumericalAnswerSet,
+    Question,
+    ShortAnswerSet,
+)
 from quizbank.moodle_xml import format_fraction
 
 from conftest import build_rich_bank
@@ -349,3 +359,185 @@ class TestRepeatedRoundTrips:
             next_data = serialize_bank(bank)
             assert next_data == data
             data = next_data
+
+
+def _outcome(data):
+    """What parse_bank gives for data: the questions (by repr, so that 3 and
+    3.0 differ), category and warnings, or the exception it raises."""
+    try:
+        bank = parse_bank(data)
+    except Exception as exc:  # compared, not handled
+        return (type(exc).__name__, str(exc))
+    return ([repr(q) for q in bank.questions], bank.category, bank.warnings)
+
+
+def _reference_outcome(data):
+    """The same, read by ElementTree alone."""
+    with mock.patch.object(moodle_xml, "_parse_own_layout", side_effect=ValueError):
+        return _outcome(data)
+
+
+def _every_feature_bank():
+    bank = QuestionBank(None)
+    bank.addShortAnswer("a<b & c>d", "Plain?", ["x&y", "<tag>", "1 > 0", "&amp;"])
+    bank.setCategory("Algebra/Roots & <Powers>")
+    bank.addNumerical("roots", "Solve \\(2x^2+4x-30=0\\)", [3, -5, 0.5, -1e-07], 0.01)
+    bank.addMultipleChoice("cdata", "Is x]]>y <b>bold</b>?", ["a]]>b", "]]>", "c]", "d"])
+    bank.setCategory("")
+    bank.addMatching(
+        "pairs",
+        "Line one\nline two $$\\sum_i x_i$$",
+        [("p]]>q", "m&n"), ("multi\nline", "<i>"), ("r", "a\nb")],
+    )
+    bank.setCategory("Topic")
+    bank.addNumerical("negative", "Temperature?", [-40], 0)
+    return bank
+
+
+class TestOwnLayoutReader:
+    def test_writer_output_read_without_elementtree(self, monkeypatch):
+        bank = _every_feature_bank()
+        data = serialize_bank(bank)
+        expected = _reference_outcome(data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ElementTree read a document in the writer's layout")
+
+        monkeypatch.setattr(ET, "fromstring", refuse)
+        recovered = parse_bank(data)
+        assert [repr(q) for q in recovered.questions] == [repr(q) for q in bank.questions]
+        assert (recovered.category, recovered.warnings) == ("Topic", [])
+        assert _outcome(data) == expected
+        assert serialize_bank(recovered) == data
+        for form in (data.decode("utf-8"), bytearray(data)):
+            assert _outcome(form) == expected
+        empty = parse_bank(serialize_bank(QuestionBank(None)))
+        assert (empty.questions, empty.category) == ([], "")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d.replace(b"\n  ", b"\n   "),
+            lambda d: d.replace(b"\n", b"\r\n"),
+            lambda d: d.replace(b"Plain?", b"Pl\rain?"),
+            lambda d: d.replace(b"Plain?", b"Pl\x01ain?"),
+            lambda d: d.replace(b"<text>a&lt;b", b"<text>&quot;a&lt;b"),
+            lambda d: d.replace(b"&amp;", b"&#38;"),
+            lambda d: d.replace(b"<![CDATA[Plain", b"<![CDATA[a]]>b<![CDATA[Plain"),
+            lambda d: d.replace(b"<tolerance>0.01</tolerance>", b"<tolerance>1</tolerance>", 1),
+            lambda d: b"\xef\xbb\xbf" + d,
+            lambda d: d + b"<!-- trailing -->\n",
+        ],
+        ids=[
+            "reindented", "crlf", "cr", "control", "quot", "char-ref", "cdata-sections",
+            "tolerances", "bom", "trailing",
+        ],
+    )
+    def test_other_layouts_read_by_elementtree(self, monkeypatch, change):
+        data = change(serialize_bank(_every_feature_bank()))
+        expected = _reference_outcome(data)
+        calls = []
+        real = ET.fromstring
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ET, "fromstring", counted)
+        assert _outcome(data) == expected
+        assert calls == [1]
+
+
+# XML-legal text, with the writer's hazards drawn often.
+_LEGAL_TEXT = st.lists(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\ufffe\uffff"),
+        st.sampled_from(
+            ["]]>", "]", "]]", ">", "<", "&", "&amp;", "&lt;", "\n", "\t", " ", "\x85"]
+            + ["<b>x</b>", "\\(x^2\\)", "$$", "]]]]><![CDATA[>", "</text>"]
+        ),
+    ),
+    max_size=6,
+).map("".join)
+_NUMBER = st.one_of(
+    st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _question(draw):
+    kind = draw(st.sampled_from(list(QuestionKind)))
+    if kind is QuestionKind.SHORT_ANSWER:
+        payload = ShortAnswerSet(draw(st.lists(_LEGAL_TEXT, max_size=3)))
+    elif kind is QuestionKind.NUMERICAL:
+        payload = NumericalAnswerSet(draw(st.lists(_NUMBER, max_size=3)), draw(_NUMBER))
+    elif kind is QuestionKind.MULTIPLE_CHOICE:
+        fractions = st.floats(-100, 100)
+        choices = draw(st.lists(st.builds(Choice, _LEGAL_TEXT, fractions), max_size=4))
+        payload = ChoiceSet(choices)
+    else:
+        payload = MatchPairList(draw(st.lists(st.tuples(_LEGAL_TEXT, _LEGAL_TEXT), max_size=3)))
+    category = draw(st.one_of(st.sampled_from(["", "A", "A/B", "A//B"]), _LEGAL_TEXT))
+    return Question(kind, draw(_LEGAL_TEXT), draw(_LEGAL_TEXT), payload, category)
+
+
+def _writer_output(questions):
+    bank = QuestionBank(None)
+    bank.questions = questions
+    return serialize_bank(bank)
+
+
+# Departures from the writer's layout, each also applied where it may not occur.
+_EDITS = [
+    lambda d: d.replace(b"\n", b"\r\n"),
+    lambda d: b"\xef\xbb\xbf" + d,
+    lambda d: d.replace(b"\n    <", b"\n     <"),
+    lambda d: d.replace(b"&amp;", b"&#38;"),
+    lambda d: d.replace(b"<text>", b"<text>&quot;", 1),
+    lambda d: d.replace(b"]]></text>", b"\x01]]></text>", 1),
+    lambda d: d.replace(b"</text>", b"\r</text>", 1),
+    lambda d: d.replace(b"<![CDATA[", b"<![CDATA[a]]>b<![CDATA[", 1),
+    lambda d: d.replace(b"</tolerance>", b"1</tolerance>", 1),
+    lambda d: d.replace(b"<single>true", b"<single>false", 1),
+    lambda d: d.replace(b'type="numerical"', b'type="essay"', 1),
+    lambda d: d.replace(b'fraction="100"', b'fraction="lots"', 1),
+    lambda d: d + b"\n",
+    lambda d: d + b"x",
+]
+
+
+class TestReaderDifferential:
+    """parse_bank's direct reader and ElementTree give the same bank, or
+    the same error, for writer output and for departures from it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(questions=st.lists(_question(), max_size=4))
+    def test_writer_output(self, questions):
+        data = _writer_output(questions)
+        direct = moodle_xml._parse_own_layout(data)  # must not fall back
+        expected = _reference_outcome(data)
+        assert ([repr(q) for q in direct.questions], direct.category, []) == expected
+        for form in (data, data.decode("utf-8"), bytearray(data)):
+            assert _outcome(form) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        questions=st.lists(_question(), max_size=3),
+        edit=st.sampled_from(["insert", "delete", "replace"] + list(range(len(_EDITS)))),
+        where=st.floats(0, 1, exclude_max=True),
+        byte=st.sampled_from(b"\x00\t\n\r &<>]\"'/=?!ax\x80\xc3\xa9\xef"),
+    )
+    def test_mutated_writer_output(self, questions, edit, where, byte):
+        data = _writer_output(questions)
+        at = int(where * len(data))
+        if edit == "insert":
+            data = data[:at] + bytes([byte]) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + 1:]
+        elif edit == "replace":
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        else:
+            data = _EDITS[edit](data)
+        expected = _reference_outcome(data)
+        assert _outcome(data) == expected
+        assert _outcome(bytearray(data)) == expected
