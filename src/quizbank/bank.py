@@ -21,38 +21,27 @@ from __future__ import annotations
 
 import random
 import sys
+from contextvars import ContextVar
 from pathlib import Path
 
 from . import generators
-from .errors import QuizbankError, ValidationError
+from .errors import DuplicateTextError, QuizbankError, ValidationError
 from .fileio import atomic_write_bytes
 from .model import (
-    Choice,
-    ChoiceSet,
     MatchPairList,
     NumericalAnswerSet,
     Question,
     QuestionKind,
     ShortAnswerSet,
-    normalize,
+    check_question,
+    graded_choices,
     render_text,
-    require_finite_number,
     validate_category_path,
 )
 
-# Populated by the CLI "build" command to redirect scripts it executes;
-# None whenever no build is in progress.
-_build_overrides: dict | None = None
-
-
-def set_build_overrides(seed=None, output_path=None) -> None:
-    global _build_overrides
-    _build_overrides = {"seed": seed, "out": output_path, "out_used": False}
-
-
-def clear_build_overrides() -> None:
-    global _build_overrides
-    _build_overrides = None
+# Set by the CLI "build" command around the script it runs, to redirect
+# the banks that script creates: {"seed": ..., "out": ...}.
+build_overrides: ContextVar[dict | None] = ContextVar("build_overrides", default=None)
 
 
 def default_wrong_fraction(choice_count: int) -> float:
@@ -68,14 +57,13 @@ class QuestionBank:
     """Ordered collection of questions bound to an XML output path."""
 
     def __init__(self, output_path, seed=None, wrong_fraction_rule=None):
-        overrides = _build_overrides
+        overrides = build_overrides.get()
         # Pathless banks (e.g. freshly parsed ones) are not build targets.
         if overrides is not None and output_path is not None:
             if overrides["seed"] is not None:
                 seed = overrides["seed"]
-            if overrides["out"] is not None and not overrides["out_used"]:
-                output_path = overrides["out"]
-                overrides["out_used"] = True
+            # Only the first bank takes the --out path.
+            output_path = overrides.pop("out", None) or output_path
         self.output_path = Path(output_path) if output_path is not None else None
         self.category = ""
         self.questions: list[Question] = []
@@ -107,30 +95,14 @@ class QuestionBank:
         A single string is promoted to a one-element list. All accepted
         answers are graded +100 and compared by the LMS as plain strings.
         """
-        self._require_open()
-        stem = self._check_stem(question)
-        answers = _as_answer_list(answers)
-        if not answers:
-            raise ValidationError("a short-answer question needs at least one answer")
-        texts = [render_text(a) for a in answers]
-        _reject_duplicates(texts, "short answer")
-        self._append(QuestionKind.SHORT_ANSWER, name, stem, ShortAnswerSet(texts))
+        texts = [render_text(a) for a in _as_answer_list(answers)]
+        self._append(QuestionKind.SHORT_ANSWER, name, question, ShortAnswerSet(texts))
 
     def addNumerical(self, name, question, answers, tolerance=0.01) -> None:
         """Append a numerical question accepting each answer within ±tolerance."""
-        self._require_open()
-        stem = self._check_stem(question)
-        answers = _as_answer_list(answers)
-        if not answers:
-            raise ValidationError("a numerical question needs at least one answer")
-        for value in answers:
-            require_finite_number(value, "numerical answer")
-        require_finite_number(tolerance, "tolerance")
-        if tolerance < 0:
-            raise ValidationError(f"tolerance must be non-negative, got {tolerance}")
-        self._append(
-            QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(answers, float(tolerance))
-        )
+        payload = NumericalAnswerSet(_as_answer_list(answers), tolerance)
+        self._append(QuestionKind.NUMERICAL, name, question, payload)
+        payload.tolerance = float(tolerance)  # checked finite above
 
     def addMultipleChoice(self, name, question, choices) -> None:
         """Append a single-answer multiple-choice question.
@@ -141,23 +113,17 @@ class QuestionBank:
         the same trimmed text the question is rejected with a warning and
         the bank is left unchanged.
         """
-        self._require_open()
-        stem = self._check_stem(question)
         if isinstance(choices, (set, frozenset)):
             raise ValidationError(
                 "choices must be an ordered sequence (the first element is the correct one)"
             )
-        choices = list(choices)
-        if len(choices) < 2:
-            raise ValidationError("a multiple-choice question needs at least 2 choices")
         texts = [render_text(c) for c in choices]
-        duplicate = _first_duplicate(texts)
-        if duplicate is not None:
-            self.warn(
-                f"duplicated choice text {duplicate!r}; question {name!r} not added"
-            )
-            return
-        self._append_mcq(name, stem, texts[0], texts[1:])
+        # The rule is only defined for k >= 2; fewer choices fail the check.
+        wrong = self.wrong_fraction_rule(len(texts)) if len(texts) > 1 else 0.0
+        try:
+            self._append(QuestionKind.MULTIPLE_CHOICE, name, question, graded_choices(texts, wrong))
+        except DuplicateTextError as exc:
+            self.warn(f"{exc}; question {name!r} not added")
 
     def addMatching(self, name, question, pairs) -> None:
         """Append a matching question from (prompt, match) pairs.
@@ -165,14 +131,8 @@ class QuestionBank:
         Prompts must be pairwise distinct; matches may repeat (the LMS
         merges repeated matches into one drop-down entry).
         """
-        self._require_open()
-        stem = self._check_stem(question)
-        pairs = list(pairs)
-        if len(pairs) < 2:
-            raise ValidationError("a matching question needs at least 2 pairs")
         rendered = [(render_text(p), render_text(m)) for p, m in pairs]
-        _reject_duplicates([p for p, _ in rendered], "matching prompt")
-        self._append(QuestionKind.MATCHING, name, stem, MatchPairList(rendered))
+        self._append(QuestionKind.MATCHING, name, question, MatchPairList(rendered))
 
     # -- random generation (pool-based) --------------------------------------
 
@@ -208,13 +168,7 @@ class QuestionBank:
         )
 
     def addCompleteCode(
-        self,
-        title,
-        pattern,
-        source_text,
-        tokens,
-        extra_distractors=(),
-        num_questions=-1,
+        self, title, pattern, source_text, tokens, extra_distractors=(), num_questions=-1,
         blank=None,
     ) -> int:
         """Generate fill-in-the-blank questions by blanking tokens in a text.
@@ -228,14 +182,7 @@ class QuestionBank:
         """
         self._require_open()
         return generators.generate_complete_code(
-            self,
-            title,
-            pattern,
-            source_text,
-            tokens,
-            extra_distractors,
-            num_questions,
-            blank,
+            self, title, pattern, source_text, tokens, extra_distractors, num_questions, blank
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -269,9 +216,7 @@ class QuestionBank:
         try:
             atomic_write_bytes(self.output_path, data)
         except OSError as exc:
-            raise QuizbankError(
-                f"cannot write question bank to {self.output_path}: {exc}"
-            ) from exc
+            raise QuizbankError(f"cannot write question bank to {self.output_path}: {exc}") from exc
         self._closed = True
 
     @property
@@ -287,19 +232,12 @@ class QuestionBank:
         if self._closed:
             raise QuizbankError("bank is closed and can no longer be modified")
 
-    def _check_stem(self, question) -> str:
-        if not isinstance(question, str) or not question.strip():
-            raise ValidationError("question text must be a non-empty string")
-        return render_text(question)
-
-    def _append(self, kind, name, stem, payload) -> None:
-        self.questions.append(Question(kind, render_text(name), stem, payload, self.category))
-
-    def _append_mcq(self, name, stem, correct_text, distractor_texts) -> None:
-        # Callers pass a checked stem and canonical, pairwise-distinct texts.
-        wrong = self.wrong_fraction_rule(1 + len(distractor_texts))
-        built = [Choice(correct_text, 100.0)] + [Choice(t, wrong) for t in distractor_texts]
-        self._append(QuestionKind.MULTIPLE_CHOICE, name, stem, ChoiceSet(built))
+    def _append(self, kind, name, question, payload) -> None:
+        self._require_open()
+        stem = render_text(question) if isinstance(question, str) else question
+        built = Question(kind, render_text(name), stem, payload, self.category)
+        check_question(built)
+        self.questions.append(built)
 
 
 def _as_answer_list(answers) -> list:
@@ -310,18 +248,3 @@ def _as_answer_list(answers) -> list:
         return list(answers)
     return [answers]
 
-
-def _first_duplicate(texts):
-    seen = set()
-    for text in texts:
-        key = normalize(text)
-        if key in seen:
-            return text
-        seen.add(key)
-    return None
-
-
-def _reject_duplicates(texts, what: str) -> None:
-    duplicate = _first_duplicate(texts)
-    if duplicate is not None:
-        raise ValidationError(f"duplicate {what}: {duplicate!r}")

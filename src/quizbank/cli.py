@@ -152,7 +152,7 @@ def _cmd_build(args) -> int:
             raise _UsageError(
                 f"${SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             )
-    bank_module.set_build_overrides(seed=seed, output_path=args.out)
+    token = bank_module.build_overrides.set({"seed": seed, "out": args.out})
     try:
         runpy.run_path(str(script), run_name="__main__")
     except SystemExit as exc:
@@ -163,7 +163,7 @@ def _cmd_build(args) -> int:
         traceback.print_exc()
         return EXIT_FAILURE
     finally:
-        bank_module.clear_build_overrides()
+        bank_module.build_overrides.reset(token)
     return EXIT_OK
 
 

@@ -9,6 +9,10 @@ class ValidationError(QuizbankError, ValueError):
     """An operation was called with arguments that violate its contract."""
 
 
+class DuplicateTextError(ValidationError):
+    """Two texts of one question that must differ are equal once trimmed."""
+
+
 class CapacityError(ValidationError):
     """More questions were requested than the pool can distinctly produce."""
 

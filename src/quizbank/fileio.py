@@ -17,9 +17,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     destination is left untouched.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
+    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

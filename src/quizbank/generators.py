@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, SamplingError, ValidationError
-from .model import normalize, render_text
+from .model import Question, QuestionKind, graded_choices, normalize, render_text, require_stem
 
 DISTRACTORS_PER_QUESTION = 3
 
@@ -64,9 +64,7 @@ def sample_distractors(pool, k, exclude, rng) -> list[str]:
     excluded = {normalize(render_text(e)) for e in exclude}
     valid = [t for t in _unique_texts(pool) if normalize(t) not in excluded]
     if len(valid) < k:
-        raise SamplingError(
-            f"need {k} distractors but only {len(valid)} usable candidates remain"
-        )
+        raise SamplingError(f"need {k} distractors but only {len(valid)} usable candidates remain")
     return rng.sample(valid, k)
 
 
@@ -80,23 +78,16 @@ def generate_from_lists(bank, title, question, correct, distractors, num_questio
         raise ValidationError("the correct-answer list is empty")
     if len(distractor_texts) < DISTRACTORS_PER_QUESTION:
         raise ValidationError(
-            f"need at least {DISTRACTORS_PER_QUESTION} distractors, "
-            f"got {len(distractor_texts)}"
+            f"need at least {DISTRACTORS_PER_QUESTION} distractors, got {len(distractor_texts)}"
         )
-    overlap = {normalize(t) for t in correct_texts} & {
-        normalize(t) for t in distractor_texts
-    }
+    overlap = {normalize(t) for t in correct_texts} & {normalize(t) for t in distractor_texts}
     if overlap:
-        raise ValidationError(
-            f"correct answers and distractors overlap: {sorted(overlap)}"
-        )
+        raise ValidationError(f"correct answers and distractors overlap: {sorted(overlap)}")
     slots = [(text, question) for text in correct_texts]
     return _generate(bank, title, distractor_texts, slots, num_questions)
 
 
-def generate_from_pairs(
-    bank, title, pattern, pairs, extra_distractors=(), num_questions=-1
-):
+def generate_from_pairs(bank, title, pattern, pairs, extra_distractors=(), num_questions=-1):
     _require_single_placeholder(pattern)
     pairs = list(pairs)
     if not pairs:
@@ -131,14 +122,7 @@ def generate_from_pairs(
 
 
 def generate_complete_code(
-    bank,
-    title,
-    pattern,
-    source_text,
-    tokens,
-    extra_distractors=(),
-    num_questions=-1,
-    blank=None,
+    bank, title, pattern, source_text, tokens, extra_distractors=(), num_questions=-1, blank=None
 ):
     _require_single_placeholder(pattern)
     if not isinstance(source_text, str) or not source_text:
@@ -159,10 +143,7 @@ def generate_complete_code(
             f"token {token_texts[0]!r} has only {len(pool) - 1} usable distractors; "
             f"need at least {DISTRACTORS_PER_QUESTION}"
         )
-    slots = [
-        (token, pattern.replace("%s", source_text.replace(token, blank), 1))
-        for token in token_texts
-    ]
+    slots = [(t, pattern.replace("%s", source_text.replace(t, blank), 1)) for t in token_texts]
     return _generate(bank, title, pool, slots, num_questions)
 
 
@@ -172,17 +153,22 @@ def generate_complete_code(
 def _generate(bank, title, pool, slots, num_questions):
     """Append questions built from ``slots`` and return how many were added.
 
-    Every stem is checked before the bank or its RNG changes, so a call
-    that raises leaves both as they were. ``pool`` holds rendered,
-    deduplicated distractor texts. A slot is a (correct text, stem) pair;
-    its distractors are the pool minus the entry equal to its correct
-    text, if any. Slots sharing a correct answer share one space of
+    Every stem is checked with the builders' rule (model.require_stem)
+    before the bank or its RNG changes, so a call that raises leaves both
+    as they were; choices are distinct by construction. ``pool`` holds
+    rendered, deduplicated distractor texts. A slot is a (correct text,
+    stem) pair; its distractors are the pool minus the entry equal to its
+    correct text, if any. Slots sharing a correct answer share one space of
     C(m, 3) distractor subsets, so the exact capacity is the sum of
     C(m, 3) over the distinct answers. Each answer draws the subset ranks
     it needs without replacement and unranks them, which keeps every
     question of the call distinct without rejection sampling.
     """
-    slots = [(normalize(correct), correct, bank._check_stem(stem)) for correct, stem in slots]
+    for _, stem in slots:
+        require_stem(stem)
+    slots = [(normalize(correct), correct, render_text(stem)) for correct, stem in slots]
+    name, kind = render_text(title), QuestionKind.MULTIPLE_CHOICE
+    wrong = bank.wrong_fraction_rule(1 + DISTRACTORS_PER_QUESTION)
     where = {normalize(text): i for i, text in enumerate(pool)}
     # Per distinct answer: the pool index it leaves out (len(pool) when it
     # is not in the pool), and its number of distractor subsets.
@@ -213,14 +199,12 @@ def _generate(bank, title, pool, slots, num_questions):
                     break
         slots = [slot for slot in slots if taken[slot[0]] < spaces[slot[0]][1]]
 
-    ranks = {
-        answer: iter(bank.rng.sample(range(spaces[answer][1]), count))
-        for answer, count in taken.items()
-    }
+    ranks = {a: iter(bank.rng.sample(range(spaces[a][1]), n)) for a, n in taken.items()}
     for answer, correct, stem in sequence:
         skip = spaces[answer][0]
         picks = [pool[i + (i >= skip)] for i in _unrank_triple(next(ranks[answer]))]
-        bank._append_mcq(title, stem, correct, picks)
+        choices = graded_choices([correct, *picks], wrong)
+        bank.questions.append(Question(kind, name, stem, choices, bank.category))
     return wanted
 
 
@@ -274,6 +258,4 @@ def _resolve_count(num_questions, default, capacity):
 
 def _require_single_placeholder(pattern) -> None:
     if not isinstance(pattern, str) or pattern.count("%s") != 1:
-        raise ValidationError(
-            "the question pattern must contain exactly one %s placeholder"
-        )
+        raise ValidationError("the question pattern must contain exactly one %s placeholder")

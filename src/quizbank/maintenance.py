@@ -4,6 +4,9 @@ Both operations mutate the given bank in place and return how much they
 changed, leaving every untouched field byte-identical after
 re-serialization. They are typically applied to banks loaded with
 parse_bank, either directly or through the command line.
+
+Text replacement keeps the builders' invariants (model.check_question), and
+judges only the questions it changes; see _apply.
 """
 
 from __future__ import annotations
@@ -11,7 +14,14 @@ from __future__ import annotations
 import re
 
 from .errors import ValidationError
-from .model import ChoiceSet, MatchPairList, QuestionKind, ShortAnswerSet
+from .model import (
+    ChoiceSet,
+    MatchPairList,
+    QuestionKind,
+    ShortAnswerSet,
+    check_question,
+    require_finite_number,
+)
 
 
 def replace_text(bank, old: str, new: str) -> int:
@@ -24,7 +34,14 @@ def replace_text(bank, old: str, new: str) -> int:
     """
     if not isinstance(old, str) or not old:
         raise ValidationError("the text to replace must be a non-empty string")
-    return _apply(bank, lambda text: (text.replace(old, new), text.count(old)))
+
+    def substitute(texts):
+        count = 0
+        for text in texts:
+            count += text.count(old)
+        return ([text.replace(old, new) for text in texts] if count else texts), count
+
+    return _apply(bank, substitute)
 
 
 def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
@@ -37,7 +54,12 @@ def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
         raise ValidationError(
             f"bad regular expression {pattern!r} or replacement {replacement!r}: {exc}"
         ) from exc
-    return _apply(bank, lambda text: compiled.subn(replacement, text))
+
+    def substitute(texts):
+        results = [compiled.subn(replacement, text) for text in texts]
+        return [text for text, _ in results], sum([count for _, count in results])
+
+    return _apply(bank, substitute)
 
 
 def set_wrong_penalty(bank, fraction) -> int:
@@ -47,12 +69,9 @@ def set_wrong_penalty(bank, fraction) -> int:
     alternatives keep theirs, and other question kinds are never touched.
     Returns the number of questions with at least one wrong alternative.
     """
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ValidationError(f"penalty fraction must be a number, got {fraction!r}")
+    require_finite_number(fraction, "penalty fraction")
     if not -100 <= fraction <= 0:
-        raise ValidationError(
-            f"penalty fraction must lie between -100 and 0, got {fraction}"
-        )
+        raise ValidationError(f"penalty fraction must lie between -100 and 0, got {fraction}")
     value = round(float(fraction), 5)
     touched = 0
     for question in bank.questions:
@@ -68,26 +87,47 @@ def set_wrong_penalty(bank, fraction) -> int:
 
 
 def _apply(bank, substitute) -> int:
+    """Substitute each question's texts once, in place, and check every
+    question that changes; on a violation, undo all edits and raise
+    ValidationError naming the question."""
     total = 0
-    for question in bank.questions:
-        question.name, count = substitute(question.name)
+    edited = []  # (question, its texts before the edit)
+    for index, question in enumerate(bank.questions, start=1):
+        texts = _texts(question)
+        new_texts, count = substitute(texts)
         total += count
-        question.stem, count = substitute(question.stem)
-        total += count
-        payload = question.payload
-        if isinstance(payload, ChoiceSet):
-            for choice in payload.choices:
-                choice.text, count = substitute(choice.text)
-                total += count
-        elif isinstance(payload, ShortAnswerSet):
-            for i, answer in enumerate(payload.answers):
-                payload.answers[i], count = substitute(answer)
-                total += count
-        elif isinstance(payload, MatchPairList):
-            for i, (prompt, match) in enumerate(payload.pairs):
-                prompt, count = substitute(prompt)
-                total += count
-                match, count = substitute(match)
-                total += count
-                payload.pairs[i] = (prompt, match)
+        if count and new_texts != texts:
+            edited.append((question, texts))
+            _set_texts(question, new_texts)
+            try:
+                check_question(question)
+            except ValidationError as exc:
+                for done, before in edited:
+                    _set_texts(done, before)
+                raise ValidationError(f"question {index} ({question.name!r}): {exc}") from None
     return total
+
+
+def _texts(question) -> list[str]:
+    """Name, stem, then the payload's texts; numerical values are not text."""
+    payload, rest = question.payload, []
+    if isinstance(payload, ChoiceSet):
+        rest = [choice.text for choice in payload.choices]
+    elif isinstance(payload, ShortAnswerSet):
+        rest = payload.answers
+    elif isinstance(payload, MatchPairList):
+        rest = [text for pair in payload.pairs for text in pair]
+    return [question.name, question.stem, *rest]
+
+
+def _set_texts(question, texts) -> None:
+    """Put ``texts``, in _texts order, back into ``question``."""
+    question.name, question.stem, *rest = texts
+    payload = question.payload
+    if isinstance(payload, ChoiceSet):
+        for choice, text in zip(payload.choices, rest):
+            choice.text = text
+    elif isinstance(payload, ShortAnswerSet):
+        payload.answers[:] = rest
+    elif isinstance(payload, MatchPairList):
+        payload.pairs[:] = zip(rest[::2], rest[1::2])

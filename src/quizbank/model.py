@@ -1,8 +1,8 @@
 """Core question data types plus the text/number canonicalization helpers.
 
 Everything downstream (generation, XML output, previews, bulk edits) works
-on these dataclasses, so all duplicate checks and all deterministic
-rendering rules live here.
+on these dataclasses, so the question invariants (check_question), duplicate
+checks and deterministic rendering rules all live here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ValidationError
+from .errors import DuplicateTextError, ValidationError
 
 
 class QuestionKind(str, Enum):
@@ -116,8 +116,66 @@ def parse_number(text: str) -> int | float:
 def require_finite_number(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return
+        shown = repr(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        shown = "a value beyond the float range"
+    raise ValidationError(f"{what} must be finite, got {shown}")
+
+
+def require_stem(stem) -> None:
+    # isspace() stops at the first visible character: big stems are not copied.
+    if not isinstance(stem, str) or not stem or stem.isspace():
+        raise ValidationError("question text must be a non-empty string")
+
+
+def check_question(question: Question) -> None:
+    """Raise ValidationError for the first invariant ``question`` breaks.
+
+    Builders, generators and maintenance edits all keep these: a non-blank
+    stem; at least 2 choices, pairwise distinct once trimmed; at least one
+    short answer, none repeated; at least 2 matching pairs with distinct
+    prompts; finite real numerical answers and a finite tolerance >= 0.
+    A repeated text raises DuplicateTextError.
+    """
+    require_stem(question.stem)
+    payload = question.payload
+    if isinstance(payload, ChoiceSet):
+        if len(payload.choices) < 2:
+            raise ValidationError("a multiple-choice question needs at least 2 choices")
+        _require_distinct([choice.text for choice in payload.choices], "duplicated choice text ")
+    elif isinstance(payload, ShortAnswerSet):
+        if not payload.answers:
+            raise ValidationError("a short-answer question needs at least one answer")
+        _require_distinct(payload.answers, "duplicate short answer: ")
+    elif isinstance(payload, MatchPairList):
+        if len(payload.pairs) < 2:
+            raise ValidationError("a matching question needs at least 2 pairs")
+        _require_distinct([prompt for prompt, _ in payload.pairs], "duplicate matching prompt: ")
+    else:
+        if not payload.answers:
+            raise ValidationError("a numerical question needs at least one answer")
+        for value in payload.answers:
+            require_finite_number(value, "numerical answer")
+        require_finite_number(payload.tolerance, "tolerance")
+        if payload.tolerance < 0:
+            raise ValidationError(f"tolerance must be non-negative, got {payload.tolerance}")
+
+
+def _require_distinct(texts, message: str) -> None:
+    seen = set()
+    for text in texts:
+        key = normalize(text)
+        if key in seen:
+            raise DuplicateTextError(f"{message}{text!r}")
+        seen.add(key)
+
+
+def graded_choices(texts, wrong) -> ChoiceSet:
+    """Choices with ``texts[0]`` graded +100 (the correct one), the rest ``wrong``."""
+    return ChoiceSet([Choice(t, 100.0) for t in texts[:1]] + [Choice(t, wrong) for t in texts[1:]])
 
 
 def validate_category_path(path: str) -> str:

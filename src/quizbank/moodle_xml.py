@@ -222,9 +222,7 @@ def _emit_question(lines, question) -> None:
         for choice in payload.choices:
             fraction = format_fraction(choice.fraction)
             lines.append(f'    <answer fraction="{fraction}" format="html">')
-            lines.append(
-                f"      <text><![CDATA[{escape_for_cdata(choice.text)}]]></text>"
-            )
+            lines.append(f"      <text><![CDATA[{escape_for_cdata(choice.text)}]]></text>")
             lines.append("    </answer>")
     elif question.kind is QuestionKind.MATCHING:
         lines.append("    <shuffleanswers>true</shuffleanswers>")
@@ -243,9 +241,7 @@ def _xml_legal(text: str, data) -> bool:
     One pass over the bytes finds C0 controls; U+FFFE/U+FFFF are sought in
     the str, where the search is free unless it holds such wide characters.
     """
-    return not data.translate(None, _LEGAL_BYTES) and not (
-        "\ufffe" in text or "\uffff" in text
-    )
+    return not data.translate(None, _LEGAL_BYTES) and not ("\ufffe" in text or "\uffff" in text)
 
 
 def _unencodable_error(bank) -> QuizbankError:
@@ -396,9 +392,7 @@ def _parse_question(element, qtype, bank):
                         f"question {name!r}: answers carry differing tolerances; "
                         f"keeping {tolerance}"
                     )
-        return Question(
-            QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(values, tolerance)
-        )
+        return Question(QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(values, tolerance))
     if qtype == QuestionKind.MULTIPLE_CHOICE.value:
         singles = children.get("single")
         single = ((singles[0].text if singles else None) or "true").strip().lower()

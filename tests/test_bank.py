@@ -137,6 +137,21 @@ class TestNumerical:
         with pytest.raises(ValidationError):
             bank.addNumerical("", "Q?", [float("inf")])
 
+    @pytest.mark.parametrize(
+        "huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"]
+    )
+    def test_answer_beyond_float_range_rejected(self, make_bank, huge):
+        bank = make_bank()
+        with pytest.raises(ValidationError, match="numerical answer must be finite"):
+            bank.addNumerical("", "q", [huge])
+        assert len(bank) == 0
+
+    def test_tolerance_beyond_float_range_rejected(self, make_bank):
+        bank = make_bank()
+        with pytest.raises(ValidationError, match="tolerance must be finite"):
+            bank.addNumerical("", "q", [1], tolerance=10**400)
+        assert len(bank) == 0
+
     def test_scalar_answer_promotes(self, make_bank):
         bank = make_bank()
         bank.addNumerical("", "Compute 2+2", 4)

@@ -1,17 +1,24 @@
 """Command-line behavior: exit codes, atomicity, backups, reports."""
 
+import contextlib
+import io
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quizbank
 from quizbank import parse_bank, serialize_bank
 from quizbank.cli import main
 
 from conftest import PNG_1PX, build_rich_bank
+from test_moodle_xml import _EDITS, _question, _writer_output
 from quizbank import QuestionBank
 
 
@@ -77,10 +84,11 @@ class TestBuild:
         assert main(["build", str(tmp_path / "absent.py")]) == 1
 
     def test_overrides_cleared_after_build(self, build_script, tmp_path):
+        # A bank created after the build keeps its own path and seed.
         main(["build", str(build_script), "--seed", "1", "--out", str(tmp_path / "x.xml")])
-        from quizbank import bank as bank_module
-
-        assert bank_module._build_overrides is None
+        later = QuestionBank(tmp_path / "later.xml", seed=7)
+        assert later.output_path == tmp_path / "later.xml"
+        assert later.rng.getstate() == random.Random(7).getstate()
 
 
 class TestStats:
@@ -328,6 +336,38 @@ class TestFailureMessages:
         assert bank_file.read_bytes() == before
         assert sorted(p.name for p in bank_file.parent.iterdir()) == listing
 
+    @pytest.mark.parametrize(
+        "prompts, edit, named",
+        [
+            (("fox", "fix"), ["o", "a"], "question 1 ('animals'): duplicated choice text 'cat'"),
+            (("fax", "fix"), ["i", "a"], "question 2 ('words'): duplicate matching prompt: 'fax'"),
+            (("fox", "fix"), [".+", "", "--regex"], "question 1 ('animals'): question text"),
+        ],
+        ids=["choices", "prompts", "regex-empties-all"],
+    )
+    def test_edit_breaking_an_invariant_exits_1(self, tmp_path, capsys, prompts, edit, named):
+        script = tmp_path / "animals.py"
+        script.write_text(
+            "from quizbank import QuestionBank\n"
+            "Q = QuestionBank('bank.xml')\n"
+            "Q.addMultipleChoice('animals', 'Which animal?', ['cat', 'cot', 'dog'])\n"
+            f"Q.addMatching('words', 'Match', [({prompts[0]!r}, '1'), ({prompts[1]!r}, '2')])\n"
+            "Q.addShortAnswer('greeting', 'Say hello', 'hello')\n"
+            "Q.close()\n",
+            encoding="utf-8",
+        )
+        bank_path = tmp_path / "bank.xml"
+        assert main(["build", str(script), "--out", str(bank_path)]) == 0
+        before = bank_path.read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["maintain", str(bank_path), "replace-text", *edit]) == 1
+        err = capsys.readouterr().err
+        [line] = _error_lines(err)
+        assert line.startswith(f"error: {named}") and "Traceback" not in err
+        assert bank_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
     def test_undecodable_argv_byte_exits_2(self, bank_file):
         # The shell passes $'\xff' as a raw byte; Python (in UTF-8 mode, as
         # under any UTF-8 or C locale) decodes it to a lone surrogate.
@@ -343,3 +383,123 @@ class TestFailureMessages:
         assert len(_error_lines(err)) == 1 and "Traceback" not in err
         assert bank_file.read_bytes() == before
         assert [p.name for p in bank_file.parent.iterdir()] == [bank_file.name]
+
+
+FOREIGN_MOODLE = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+<!-- question: 0  -->
+  <question type="category">
+    <category><text>$course$/top/Default for course/Unit 1</text></category>
+  </question>
+  <question type="truefalse">
+    <name><text>tf</text></name>
+    <questiontext format="html"><text>The sky is blue.</text></questiontext>
+    <answer fraction="100"><text>true</text></answer>
+    <answer fraction="0"><text>false</text></answer>
+  </question>
+  <question type="multichoice">
+    <name><text>twins</text></name>
+    <questiontext format="html"><text><![CDATA[<p>Pick <b>one</b></p>]]></text></questiontext>
+    <single>true</single>
+    <answer fraction="100" format="html">
+      <text>same</text><feedback><text>ok</text></feedback>
+    </answer>
+    <answer fraction="-33.333" format="html"><text> same </text></answer>
+    <answer fraction="50"><text>half</text></answer>
+  </question>
+  <question type="multichoice">
+    <name><text>several</text></name>
+    <questiontext format="html"><text>Pick all</text></questiontext>
+    <single>false</single>
+    <answer fraction="50"><text>a</text></answer>
+    <answer fraction="50"><text>b</text></answer>
+  </question>
+  <question type="numerical">
+    <name><text>pi</text></name>
+    <questiontext format="html"><text>Value of pi?</text></questiontext>
+    <answer fraction="100"><text>3.14</text><tolerance>0.01</tolerance></answer>
+    <answer fraction="100"><text>1e999</text><tolerance>0.5</tolerance></answer>
+  </question>
+  <question type="matching">
+    <name><text>pairs</text></name>
+    <questiontext format="html"><text></text></questiontext>
+    <subquestion format="html"><text>fox</text><answer><text>1</text></answer></subquestion>
+    <subquestion format="html"><text>fix</text><answer><text>2</text></answer></subquestion>
+  </question>
+  <question type="shortanswer">
+    <name><text>sa &amp; more</text></name>
+    <questiontext format="html"><text>Capital of &lt;France&gt;?</text></questiontext>
+    <answer fraction="100"><text>Paris</text></answer>
+    <answer fraction="100"><text>Paris</text></answer>
+  </question>
+  <question type="essay">
+    <name><text>essay</text></name>
+    <questiontext format="html"><text>Discuss.</text></questiontext>
+  </question>
+</quiz>
+"""
+
+_RICH = serialize_bank(build_rich_bank(QuestionBank(None, seed=7)))
+
+
+@st.composite
+def _fuzzed_document(draw):
+    """Writer output of an arbitrary bank, or a foreign file, as it is
+    (half of the time) or mutated."""
+    sources = ["writer", _RICH, FOREIGN_MOODLE, FOREIGN_NUMERICAL, FOREIGN_FRACTION]
+    source = draw(st.sampled_from(sources))
+    data = _writer_output(draw(st.lists(_question(), max_size=3))) if source == "writer" else source
+    edit = draw(st.one_of(st.none(), st.sampled_from(["insert", "delete", "replace", *_EDITS])))
+    at = int(draw(st.floats(0, 1, exclude_max=True)) * len(data))
+    byte = bytes([draw(st.sampled_from(b"\x00\t\n\r &<>]\"'/=?!ax\x80\xc3\xa9\xef"))])
+    if edit is None:
+        return data
+    if edit == "insert":
+        return data[:at] + byte + data[at:]
+    if edit == "delete":
+        return data[:at] + data[at + 1:]
+    if edit == "replace":
+        return data[:at] + byte + data[at + 1:]
+    return edit(data)
+
+
+_FUZZ_OLD = st.sampled_from(["a", "e", "o", "Paris", "same", ".+", "(", "\\s", "]]>", "-x", ""])
+_FUZZ_NEW = st.sampled_from(["", " ", "a", "\\1", "]]>", "\x07", "\udcff", "\r"])
+_FUZZ_COMMAND = st.one_of(
+    st.just(["stats"]),
+    st.just(["preview", "--out", "preview.html"]),
+    st.tuples(_FUZZ_OLD, _FUZZ_NEW, st.sampled_from([[], ["--regex"]])).map(
+        lambda t: ["maintain", "replace-text", t[0], t[1], *t[2]]
+    ),
+    st.sampled_from(["-25", "0", "-100", "50", "nan", "-inf", "1e999", "x"]).map(
+        lambda value: ["maintain", "set-penalty", value]
+    ),
+)
+
+
+class TestCliFuzz:
+    """Any input file and argument: exit 0, 1 or 2, no traceback, and a
+    failing command prints one error line and leaves the files as they were."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_fuzzed_document(), command=_FUZZ_COMMAND)
+    def test_commands_on_mutated_and_foreign_banks(self, data, command):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            bank = directory / "bank.xml"
+            bank.write_bytes(data)
+            argv = [command[0], str(bank), *command[1:]]
+            if command[0] == "preview":
+                argv[-1] = str(directory / argv[-1])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            err = err.getvalue()
+            left = sorted(p.name for p in directory.iterdir())
+            unchanged = bank.read_bytes() == data
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert not any(name.endswith(".tmp") for name in left)
+        if code != 0:
+            assert len(_error_lines(err)) == 1, err
+            assert left == ["bank.xml"] and unchanged

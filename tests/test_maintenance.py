@@ -1,8 +1,11 @@
 """Bulk edits: literal text replacement and wrong-penalty rewrites."""
 
+from fractions import Fraction
+
 import pytest
 
 from quizbank import (
+    QuestionBank,
     ValidationError,
     parse_bank,
     replace_text,
@@ -63,6 +66,83 @@ class TestReplaceText:
         assert [c.fraction for c in mcq.payload.choices] == [100.0] + [-33.33333] * 3
 
 
+def _animals_bank(prompts=("fox", "fix")):
+    bank = QuestionBank(None)
+    bank.addMultipleChoice("animals", "Which animal?", ["cat", "cot", "dog"])
+    bank.addMatching("words", "Match the words", [(prompts[0], "1"), (prompts[1], "2")])
+    bank.addShortAnswer("greeting", "Say hello", ["hello"])
+    return bank
+
+
+class TestReplaceKeepsInvariants:
+    @pytest.mark.parametrize(
+        "edit, prompts, message",
+        [
+            ((replace_text, "o", "a"), ("fox", "fix"),
+             "question 1 ('animals'): duplicated choice text 'cat'"),
+            ((replace_text, "i", "a"), ("fax", "fix"),
+             "question 2 ('words'): duplicate matching prompt: 'fax'"),
+            ((replace_text_pattern, ".+", ""), ("fox", "fix"),
+             "question 1 ('animals'): question text must be a non-empty string"),
+            ((replace_text, "Say hello", "\t"), ("fox", "fix"),
+             "question 3 ('greeting'): question text must be a non-empty string"),
+        ],
+        ids=["choices", "prompts", "regex-empties-all", "blank-stem"],
+    )
+    def test_breaking_edit_raises_and_changes_nothing(self, edit, prompts, message):
+        bank = _animals_bank(prompts)
+        before = serialize_bank(bank)
+        objects = list(bank.questions)
+        function, old, new = edit
+        with pytest.raises(ValidationError) as err:
+            function(bank, old, new)
+        assert str(err.value).startswith(message)
+        assert serialize_bank(bank) == before
+        assert all(a is b for a, b in zip(bank.questions, objects))
+
+    def test_duplicate_short_answer_rejected(self):
+        bank = QuestionBank(None)
+        bank.addShortAnswer("colour", "Spell it", ["color", "colour"])
+        with pytest.raises(ValidationError, match="question 1 \\('colour'\\): duplicate short"):
+            replace_text(bank, "colour", "color")
+
+    def test_existing_faults_elsewhere_are_not_judged(self):
+        bank = parse_bank(FOREIGN_DUPLICATES)
+        assert replace_text(bank, "Paris", "Lyon") == 1
+        assert bank.questions[1].payload.answers == ["Lyon"]
+        assert [c.text for c in bank.questions[0].payload.choices] == ["same", "same"]
+
+    def test_changed_question_is_judged_in_full(self):
+        bank = parse_bank(FOREIGN_DUPLICATES)
+        before = serialize_bank(bank)
+        with pytest.raises(ValidationError, match="question 1 \\('twins'\\): duplicated choice"):
+            replace_text(bank, "twins", "pair")
+        assert serialize_bank(bank) == before
+
+    def test_unchanged_texts_are_not_edits(self):
+        # A replacement that rewrites text to itself changes no question.
+        bank = parse_bank(FOREIGN_DUPLICATES)
+        assert replace_text_pattern(bank, "same", "same") == 2
+        assert replace_text(bank, "s", "s") == 4
+
+
+FOREIGN_DUPLICATES = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="multichoice">
+    <name><text>twins</text></name>
+    <questiontext format="html"><text>Pick</text></questiontext>
+    <answer fraction="100"><text>same</text></answer>
+    <answer fraction="-100"><text>same</text></answer>
+  </question>
+  <question type="shortanswer">
+    <name><text>capital</text></name>
+    <questiontext format="html"><text>Capital of France?</text></questiontext>
+    <answer fraction="100"><text>Paris</text></answer>
+  </question>
+</quiz>
+"""
+
+
 class TestSetWrongPenalty:
     def test_all_multichoice_updated(self, make_bank):
         bank = make_bank(seed=1)
@@ -99,6 +179,18 @@ class TestSetWrongPenalty:
             set_wrong_penalty(rich_bank, bad)
         assert serialize_bank(rich_bank) == before
 
+
+    def test_any_real_number_accepted(self, rich_bank):
+        assert set_wrong_penalty(rich_bank, Fraction(-25)) == 2
+        mcq = next(q for q in rich_bank.questions if q.name == "pick-root")
+        assert [c.fraction for c in mcq.payload.choices] == [100.0, -25.0, -25.0, -25.0]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), True, "-25", None])
+    def test_non_finite_and_non_numbers_rejected(self, rich_bank, bad):
+        before = serialize_bank(rich_bank)
+        with pytest.raises(ValidationError):
+            set_wrong_penalty(rich_bank, bad)
+        assert serialize_bank(rich_bank) == before
 
     def test_partial_credit_kept_on_foreign_bank(self):
         bank = parse_bank(FOREIGN_PARTIAL_CREDIT)
