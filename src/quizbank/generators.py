@@ -109,13 +109,10 @@ def generate_from_pairs(bank, title, pattern, pairs, extra_distractors=(), num_q
     pool = _unique_texts([answer for _, answer in rendered] + extras)
     usable = len(pool) - 1
     if usable < DISTRACTORS_PER_QUESTION:
-        for key_text, _ in rendered:
-            bank.warn(
-                f"skipping key {key_text!r}: only {usable} usable "
-                f"distractors after removing entries equal to its answer"
-            )
         raise SamplingError(
-            "no key has enough usable distractors; provide more pairs or extra distractors"
+            f"none of the {len(rendered)} keys has {DISTRACTORS_PER_QUESTION} usable distractors: "
+            f"the pool holds {usable} once each key's own answer is removed; "
+            "provide more pairs or extra distractors"
         )
     slots = [(answer, pattern.replace("%s", key, 1)) for key, answer in rendered]
     return _generate(bank, title, pool, slots, num_questions)

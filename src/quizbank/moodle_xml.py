@@ -32,8 +32,6 @@ from .model import (
     parse_number,
 )
 
-XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
-
 # Category markers use the course-relative form understood by Moodle 3.x
 # importers; the bank-level path "A/B" becomes "$course$/top/A/B".
 CATEGORY_PREFIX = "$course$/top"
@@ -47,38 +45,59 @@ _UNENCODABLE = "[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
 # Every byte but those C0 controls: deleting these leaves the illegal ones.
 _LEGAL_BYTES = bytes(c for c in range(256) if c >= 0x20 or c in b"\t\n")
 
-# The writer's layout as _parse_own_layout reads it back: escaped text is
-# [^<>]* (_unescape checks its entities), CDATA text is read by _cdata.
-_OWN_HEAD = XML_DECLARATION + "\n<quiz>\n"
-_CATEGORY_BLOCK = re.compile(
-    '  <question type="category">\n    <category>\n      <text>([^<>]*)</text>\n'
+# The writer's layout, block by block, in literal pieces: "%s" marks an
+# entity-escaped field (between quotes, an attribute value) and each boundary
+# between two pieces of a block a CDATA field. serialize_bank writes these
+# pieces; _parse_own_layout reads them back.
+_DOCUMENT = ('<?xml version="1.0" encoding="UTF-8"?>\n<quiz>\n', "</quiz>\n")
+_CATEGORY = (
+    '  <question type="category">\n    <category>\n      <text>%s</text>\n'
     "    </category>\n  </question>\n"
 )
-_QUESTION_HEAD = re.compile(
-    '  <question type="(shortanswer|numerical|multichoice|matching)">\n    <name>\n'
-    '      <text>([^<>]*)</text>\n    </name>\n    <questiontext format="html">\n'
-    r"      <text><!\[CDATA\["
+_QUESTION = (
+    '  <question type="%s">\n    <name>\n      <text>%s</text>\n    </name>\n'
+    '    <questiontext format="html">\n      <text><![CDATA[',
+    "]]></text>\n    </questiontext>\n",
 )
-# What follows each kind's stem: the end of its CDATA, then its fixed elements.
+_QUESTION_END = "  </question>\n"
+# What follows each type's stem: the end of its CDATA, then its fixed elements.
+_SHUFFLE = "    <shuffleanswers>true</shuffleanswers>\n"
 _STEM_CLOSE = {
-    kind: "]]></text>\n    </questiontext>\n" + fixed
-    for kind, fixed in [
-        ("shortanswer", "    <usecase>0</usecase>\n"),
-        ("numerical", ""),
-        (
-            "multichoice",
-            "    <single>true</single>\n    <shuffleanswers>true</shuffleanswers>\n"
-            "    <answernumbering>none</answernumbering>\n",
-        ),
-        ("matching", "    <shuffleanswers>true</shuffleanswers>\n"),
-    ]
+    "shortanswer": _QUESTION[1] + "    <usecase>0</usecase>\n",
+    "numerical": _QUESTION[1],
+    "multichoice": _QUESTION[1] + "    <single>true</single>\n" + _SHUFFLE
+    + "    <answernumbering>none</answernumbering>\n",
+    "matching": _QUESTION[1] + _SHUFFLE,
 }
-_ANSWER = '    <answer fraction="100">\n      <text>([^<>]*)</text>\n'
-_SHORT_ANSWER = re.compile(_ANSWER + "    </answer>\n")
-_NUMERICAL_ANSWER = re.compile(_ANSWER + "      <tolerance>([^<>]*)</tolerance>\n    </answer>\n")
-_CHOICE = re.compile(r'    <answer fraction="([^"<&]*)" format="html">\n      <text><!\[CDATA\[')
-_SUBQUESTION = '    <subquestion format="html">\n      <text><![CDATA['
-_MATCH = re.compile("([^<>]*)</text>\n      </answer>\n    </subquestion>\n")
+# Each type's block per answer, choice or pair.
+_ANSWER = '    <answer fraction="100">\n      <text>%s</text>\n'
+_SHORT_ANSWER = _ANSWER + "    </answer>\n"
+_NUMERICAL_ANSWER = _ANSWER + "      <tolerance>%s</tolerance>\n    </answer>\n"
+_CHOICE = (
+    '    <answer fraction="%s" format="html">\n      <text><![CDATA[',
+    "]]></text>\n    </answer>\n",
+)
+_SUBQUESTION = (
+    '    <subquestion format="html">\n      <text><![CDATA[',
+    "]]></text>\n      <answer>\n        <text>%s</text>\n      </answer>\n    </subquestion>\n",
+)
+
+
+# The reader's match functions: an attribute field reads [^"<>]*, so it cannot
+# backtrack over its line; other fields read [^<>]* (_unescape checks entities).
+def _match(piece):
+    pattern = re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
+    return re.compile(pattern).match
+
+
+_READ_CATEGORY = _match(_CATEGORY)
+_READ_HEAD = _match(_QUESTION[0])
+_READ_SHORT_ANSWER = _match(_SHORT_ANSWER)
+_READ_NUMERICAL_ANSWER = _match(_NUMERICAL_ANSWER)
+_READ_CHOICE = _match(_CHOICE[0])
+# A pair's CDATA prompt ends where its escaped match begins.
+_MATCH_CLOSE = _SUBQUESTION[1].partition("%s")[0]
+_READ_MATCH = _match(_SUBQUESTION[1][len(_MATCH_CLOSE):])
 
 
 def escape_for_cdata(text: str) -> str:
@@ -106,15 +125,16 @@ def format_fraction(value) -> str:
 def serialize_bank(bank) -> bytes:
     """Emit a bank as Moodle XML bytes (UTF-8, LF line endings); raise
     QuizbankError naming any question or category XML cannot encode."""
-    lines = [XML_DECLARATION, "<quiz>"]
+    parts = [_DOCUMENT[0]]
     emitted_category = ""  # the importer's default until a marker says otherwise
     for question in bank.questions:
         if question.category != emitted_category:
             emitted_category = question.category
-            _emit_category(lines, emitted_category)
-        _emit_question(lines, question)
-    lines.append("</quiz>\n")  # ends the join with a newline, without a copy
-    text = "\n".join(lines)
+            marker = CATEGORY_PREFIX + (f"/{emitted_category}" if emitted_category else "")
+            parts.append(_CATEGORY % escape_xml_text(marker))
+        _emit_question(parts, question)
+    parts.append(_DOCUMENT[1])
+    text = "".join(parts)
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError:
@@ -152,6 +172,8 @@ def parse_bank(data) -> QuestionBank:
             line=line,
             column=column,
         ) from exc
+    except (LookupError, ValueError) as exc:  # an encoding expat cannot read
+        raise BankParseError(f"unsupported encoding: {exc}") from exc
     if root.tag != "quiz":
         raise BankParseError(f"expected <quiz> root element, found <{root.tag}>")
 
@@ -184,56 +206,26 @@ def parse_bank(data) -> QuestionBank:
 # -- writer ---------------------------------------------------------------
 
 
-def _emit_category(lines, category_path) -> None:
-    marker = CATEGORY_PREFIX if not category_path else f"{CATEGORY_PREFIX}/{category_path}"
-    lines.append('  <question type="category">')
-    lines.append("    <category>")
-    lines.append(f"      <text>{escape_xml_text(marker)}</text>")
-    lines.append("    </category>")
-    lines.append("  </question>")
-
-
-def _emit_question(lines, question) -> None:
-    lines.append(f'  <question type="{question.kind.value}">')
-    lines.append("    <name>")
-    lines.append(f"      <text>{escape_xml_text(question.name)}</text>")
-    lines.append("    </name>")
-    lines.append('    <questiontext format="html">')
-    lines.append(f"      <text><![CDATA[{escape_for_cdata(question.stem)}]]></text>")
-    lines.append("    </questiontext>")
+def _emit_question(parts, question) -> None:
+    # Each CDATA text is an item of its own, so only the final join copies it.
+    kind = question.kind.value
+    head = _QUESTION[0] % (kind, escape_xml_text(question.name))
+    parts += (head, escape_for_cdata(question.stem), _STEM_CLOSE[kind])
     payload = question.payload
-    if question.kind is QuestionKind.SHORT_ANSWER:
-        lines.append("    <usecase>0</usecase>")
-        for answer in payload.answers:
-            lines.append('    <answer fraction="100">')
-            lines.append(f"      <text>{escape_xml_text(answer)}</text>")
-            lines.append("    </answer>")
-    elif question.kind is QuestionKind.NUMERICAL:
+    if kind == "shortanswer":
+        parts += [_SHORT_ANSWER % escape_xml_text(answer) for answer in payload.answers]
+    elif kind == "numerical":
         tolerance = canonical_number(payload.tolerance)
-        for answer in payload.answers:
-            lines.append('    <answer fraction="100">')
-            lines.append(f"      <text>{canonical_number(answer)}</text>")
-            lines.append(f"      <tolerance>{tolerance}</tolerance>")
-            lines.append("    </answer>")
-    elif question.kind is QuestionKind.MULTIPLE_CHOICE:
-        lines.append("    <single>true</single>")
-        lines.append("    <shuffleanswers>true</shuffleanswers>")
-        lines.append("    <answernumbering>none</answernumbering>")
+        parts += [_NUMERICAL_ANSWER % (canonical_number(a), tolerance) for a in payload.answers]
+    elif kind == "multichoice":
         for choice in payload.choices:
             fraction = format_fraction(choice.fraction)
-            lines.append(f'    <answer fraction="{fraction}" format="html">')
-            lines.append(f"      <text><![CDATA[{escape_for_cdata(choice.text)}]]></text>")
-            lines.append("    </answer>")
-    elif question.kind is QuestionKind.MATCHING:
-        lines.append("    <shuffleanswers>true</shuffleanswers>")
+            parts += (_CHOICE[0] % fraction, escape_for_cdata(choice.text), _CHOICE[1])
+    else:
         for prompt, match in payload.pairs:
-            lines.append('    <subquestion format="html">')
-            lines.append(f"      <text><![CDATA[{escape_for_cdata(prompt)}]]></text>")
-            lines.append("      <answer>")
-            lines.append(f"        <text>{escape_xml_text(match)}</text>")
-            lines.append("      </answer>")
-            lines.append("    </subquestion>")
-    lines.append("  </question>")
+            match = _SUBQUESTION[1] % escape_xml_text(match)
+            parts += (_SUBQUESTION[0], escape_for_cdata(prompt), match)
+    parts.append(_QUESTION_END)
 
 
 def _xml_legal(text: str, data) -> bool:
@@ -248,11 +240,11 @@ def _unencodable_error(bank) -> QuizbankError:
     """Name the first category or question, in document order, that holds
     a character XML cannot encode."""
     for index, question in enumerate(bank.questions, start=1):
-        lines = []
-        _emit_question(lines, question)
+        parts = []
+        _emit_question(parts, question)
         for owner, text in (
             (f"category {question.category!r}", question.category),
-            (f"question {question.name or f'question #{index}'!r}", "\n".join(lines)),
+            (f"question {question.name or f'question #{index}'!r}", "".join(parts)),
         ):
             found = re.search(_UNENCODABLE, text)
             if found:
@@ -267,19 +259,17 @@ def _unencodable_error(bank) -> QuizbankError:
 
 
 def _parse_own_layout(data) -> QuestionBank:
-    """Read a document in serialize_bank's exact layout, the inverse of
-    _emit_category and _emit_question. Raise ValueError at the first byte
-    that departs from it, so that ElementTree reads the document instead.
-    """
+    """Read a document in serialize_bank's exact layout; raise ValueError at
+    the first byte that departs from it, so that ElementTree reads it instead."""
     text = data.decode("utf-8")
-    if not (_xml_legal(text, data) and text.startswith(_OWN_HEAD)):
+    if not (_xml_legal(text, data) and text.startswith(_DOCUMENT[0])):
         raise ValueError("not the writer's layout")
     bank = QuestionBank(output_path=None)
-    pos = len(_OWN_HEAD)
-    while not text.startswith("</quiz>\n", pos):
-        head = _QUESTION_HEAD.match(text, pos)
-        if head is None:
-            block = _CATEGORY_BLOCK.match(text, pos)
+    pos = len(_DOCUMENT[0])
+    while not text.startswith(_DOCUMENT[1], pos):
+        head = _READ_HEAD(text, pos)
+        if head is None or head[1] not in _STEM_CLOSE:  # a category, or no type of ours
+            block = _READ_CATEGORY(text, pos)
             if block is None:
                 raise ValueError("not the writer's layout")
             bank.category = _category_path(_unescape(block[1]))
@@ -289,13 +279,13 @@ def _parse_own_layout(data) -> QuestionBank:
         stem, pos = _cdata(text, head.end(), _STEM_CLOSE[kind])
         if kind == "shortanswer":
             answers = []
-            while item := _SHORT_ANSWER.match(text, pos):
+            while item := _READ_SHORT_ANSWER(text, pos):
                 answers.append(_unescape(item[1]))
                 pos = item.end()
             payload = ShortAnswerSet(answers)
         elif kind == "numerical":
             values, tolerances = [], set()
-            while item := _NUMERICAL_ANSWER.match(text, pos):
+            while item := _READ_NUMERICAL_ANSWER(text, pos):
                 values.append(parse_number(_unescape(item[1])))
                 tolerances.add(item[2])
                 pos = item.end()
@@ -305,26 +295,25 @@ def _parse_own_layout(data) -> QuestionBank:
             payload = NumericalAnswerSet(values, tolerance)
         elif kind == "multichoice":
             choices = []
-            while item := _CHOICE.match(text, pos):
-                choice, pos = _cdata(text, item.end(), "]]></text>\n    </answer>\n")
+            while item := _READ_CHOICE(text, pos):
+                choice, pos = _cdata(text, item.end(), _CHOICE[1])
                 choices.append(Choice(choice, float(item[1])))
             payload = ChoiceSet(choices)
         else:
             pairs = []
-            while text.startswith(_SUBQUESTION, pos):
-                start = pos + len(_SUBQUESTION)
-                prompt, pos = _cdata(text, start, "]]></text>\n      <answer>\n        <text>")
-                if (item := _MATCH.match(text, pos)) is None:
+            while text.startswith(_SUBQUESTION[0], pos):
+                prompt, pos = _cdata(text, pos + len(_SUBQUESTION[0]), _MATCH_CLOSE)
+                if (item := _READ_MATCH(text, pos)) is None:
                     raise ValueError("not the writer's layout")
                 pairs.append((prompt, _unescape(item[1])))
                 pos = item.end()
             payload = MatchPairList(pairs)
-        if not text.startswith("  </question>\n", pos):
+        if not text.startswith(_QUESTION_END, pos):
             raise ValueError("not the writer's layout")
-        pos += len("  </question>\n")
+        pos += len(_QUESTION_END)
         question = Question(_KINDS[kind], _unescape(head[2]), stem, payload, bank.category)
         bank.questions.append(question)
-    if pos + len("</quiz>\n") != len(text):
+    if pos + len(_DOCUMENT[1]) != len(text):
         raise ValueError("trailing data")
     return bank
 
@@ -368,12 +357,9 @@ def _category_path(marker: str) -> str:
 
 
 def _parse_question(element, qtype, bank):
-    children = {}
-    for child in element:
-        children.setdefault(child.tag, []).append(child)
-    name = _first_text(children.get("name", ()))
-    stem = _first_text(children.get("questiontext", ()))
-    answers = children.get("answer", ())
+    name = element.findtext("name/text") or ""
+    stem = element.findtext("questiontext/text") or ""
+    answers = element.findall("answer")
     if qtype == QuestionKind.SHORT_ANSWER.value:
         answers = [ans.findtext("text") or "" for ans in answers]
         return Question(QuestionKind.SHORT_ANSWER, name, stem, ShortAnswerSet(answers))
@@ -394,8 +380,7 @@ def _parse_question(element, qtype, bank):
                     )
         return Question(QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(values, tolerance))
     if qtype == QuestionKind.MULTIPLE_CHOICE.value:
-        singles = children.get("single")
-        single = ((singles[0].text if singles else None) or "true").strip().lower()
+        single = (element.findtext("single") or "true").strip().lower()
         if single in ("false", "0"):
             bank.warn(
                 f"skipping multi-select multiple-choice question {name!r} "
@@ -409,16 +394,7 @@ def _parse_question(element, qtype, bank):
         return Question(QuestionKind.MULTIPLE_CHOICE, name, stem, ChoiceSet(choices))
     # Matching, the last of the supported types parse_bank lets through.
     pairs = [
-        (sub.findtext("text") or "", _first_text(sub.findall("answer")))
-        for sub in children.get("subquestion", ())
+        (sub.findtext("text") or "", sub.findtext("answer/text") or "")
+        for sub in element.findall("subquestion")
     ]
     return Question(QuestionKind.MATCHING, name, stem, MatchPairList(pairs))
-
-
-def _first_text(elements) -> str:
-    # findtext("<tag>/text") over these <tag> elements, minus the path parser.
-    for element in elements:
-        text = element.find("text")
-        if text is not None:
-            return text.text or ""
-    return ""

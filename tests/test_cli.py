@@ -18,7 +18,7 @@ from quizbank import parse_bank, serialize_bank
 from quizbank.cli import main
 
 from conftest import PNG_1PX, build_rich_bank
-from test_moodle_xml import _EDITS, _question, _writer_output
+from test_moodle_xml import _EDITS, _UNREADABLE_ENCODINGS, _question, _writer_output
 from quizbank import QuestionBank
 
 
@@ -279,6 +279,25 @@ class TestFailureMessages:
         assert len(_error_lines(err)) == 1 and f"question #{number}" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
+
+    @pytest.mark.parametrize("encoding", _UNREADABLE_ENCODINGS)
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["preview", "--out", "p.html"], ["maintain", "replace-text", "a", "b"]],
+        ids=lambda c: c[0],
+    )
+    def test_unreadable_encoding_exits_2(self, tmp_path, capsys, encoding, command):
+        path = tmp_path / "foreign.xml"
+        data = f'<?xml version="1.0" encoding="{encoding}"?>\n<quiz>\n</quiz>\n'.encode()
+        path.write_bytes(data)
+        argv = [command[0], str(path)] + [
+            str(tmp_path / arg) if arg.endswith(".html") else arg for arg in command[1:]
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert _error_lines(err) == [err.strip()] and "unsupported encoding" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
+        assert path.read_bytes() == data
 
     def test_bad_regex_is_usage_error(self, bank_file, capsys):
         before = bank_file.read_bytes()

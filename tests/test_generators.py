@@ -295,14 +295,15 @@ class TestFromPairs:
             assert "50%" in question.stem
 
     def test_unusable_keys_error(self, make_bank):
-        # Every key's usable pool is {the other answer}, far below 3:
-        # all keys are skipped with a warning and the call errors out.
+        # Every key's usable pool is {the other answer}, far below 3: the
+        # call errors out, naming both numbers, and leaves the bank as it was.
         bank = make_bank(seed=0)
+        bank.warn("earlier")
         pairs = [("k1", "same"), ("k2", "same"), ("k3", "same"), ("k4", "other")]
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="none of the 4 keys .* holds 1 "):
             bank.addMultipleChoiceFromPairs("", "what is %s?", pairs)
         assert len(bank.questions) == 0
-        assert any("skipping key" in w for w in bank.warnings)
+        assert bank.warnings == ["earlier"]
 
     def test_small_pair_pool_needs_extras(self, make_bank):
         bank = make_bank()

@@ -273,6 +273,11 @@ class TestRoundTrip:
         ]
 
 
+# Unknown (LookupError), multi-byte (ValueError) and failing (UnicodeError)
+# encodings, all of which expat gives up on before it reads an element.
+_UNREADABLE_ENCODINGS = ["UF-8", "rot13", "shift_jis", "utf-32", "idna"]
+
+
 class TestParse:
     def test_unsupported_type_skipped_with_warning(self):
         document = (
@@ -334,6 +339,12 @@ class TestParse:
         with pytest.raises(BankParseError):
             parse_bank("<quizzes></quizzes>")
 
+    @pytest.mark.parametrize("encoding", _UNREADABLE_ENCODINGS)
+    def test_unreadable_encoding_is_parse_error(self, encoding):
+        document = f'<?xml version="1.0" encoding="{encoding}"?>\n<quiz>\n</quiz>\n'
+        with pytest.raises(BankParseError, match="unsupported encoding"):
+            parse_bank(document.encode("ascii"))
+
     def test_category_markers_recovered(self, make_bank):
         bank = make_bank()
         bank.setCategory("A/B")
@@ -379,18 +390,18 @@ def _reference_outcome(data):
 
 def _every_feature_bank():
     bank = QuestionBank(None)
-    bank.addShortAnswer("a<b & c>d", "Plain?", ["x&y", "<tag>", "1 > 0", "&amp;"])
-    bank.setCategory("Algebra/Roots & <Powers>")
+    bank.addShortAnswer("a<b & c>d", "Plain?", ["x&y", "<tag>", "1 > 0", "&amp;", 'say "hi"'])
+    bank.setCategory('Algebra/Roots & <Powers> "R"')
     bank.addNumerical("roots", "Solve \\(2x^2+4x-30=0\\)", [3, -5, 0.5, -1e-07], 0.01)
     bank.addMultipleChoice("cdata", "Is x]]>y <b>bold</b>?", ["a]]>b", "]]>", "c]", "d"])
     bank.setCategory("")
     bank.addMatching(
         "pairs",
         "Line one\nline two $$\\sum_i x_i$$",
-        [("p]]>q", "m&n"), ("multi\nline", "<i>"), ("r", "a\nb")],
+        [("p]]>q", "m&n"), ("multi\nline", "<i>"), ("r", "a\nb"), ('"q"', '"x" > y')],
     )
     bank.setCategory("Topic")
-    bank.addNumerical("negative", "Temperature?", [-40], 0)
+    bank.addNumerical('"negative"', "Temperature?", [-40], 0)
     return bank
 
 
@@ -453,7 +464,7 @@ _LEGAL_TEXT = st.lists(
     st.one_of(
         st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\ufffe\uffff"),
         st.sampled_from(
-            ["]]>", "]", "]]", ">", "<", "&", "&amp;", "&lt;", "\n", "\t", " ", "\x85"]
+            ["]]>", "]", "]]", ">", "<", "&", "&amp;", "&lt;", '"', "\n", "\t", " ", "\x85"]
             + ["<b>x</b>", "\\(x^2\\)", "$$", "]]]]><![CDATA[>", "</text>"]
         ),
     ),
