@@ -216,7 +216,7 @@ class QuestionBank:
         try:
             atomic_write_bytes(self.output_path, data)
         except OSError as exc:
-            raise QuizbankError(f"cannot write question bank to {self.output_path}: {exc}") from exc
+            raise QuizbankError(f"cannot write question bank: {exc}") from exc
         self._closed = True
 
     @property

@@ -1,8 +1,8 @@
 """Command-line front end: build authoring scripts, inspect, preview, edit.
 
 Exit codes are a stable contract for automation: 0 on success, 1 for
-usage errors (bad flags, out-of-range values), 2 for script or parse
-failures. Warnings go to standard error, one per line, prefixed "WARN:".
+usage errors (bad flags, out-of-range values), 2 for script, parse or
+file failures. Warnings go to standard error, one per line, prefixed "WARN:".
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import os
 import runpy
 import sys
-import tempfile
 import traceback
 from collections import Counter
 from pathlib import Path
@@ -22,7 +21,7 @@ from .fileio import atomic_write_bytes, timestamped_backup
 from .maintenance import replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
 from .moodle_xml import parse_bank, serialize_bank
-from .preview import render_preview
+from .preview import render_preview, temp_preview_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuizbankError as exc:
+    except (QuizbankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
@@ -199,16 +198,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preview(args) -> int:
     bank = _load_bank(args.bank)
-    out = args.out
-    if out is None:
-        fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
-        os.close(fd)
-        out = Path(name)
-    try:
-        render_preview(bank, out)
-    except OSError as exc:
-        raise QuizbankError(str(exc)) from exc
-    print(out)
+    print(render_preview(bank, temp_preview_file() if args.out is None else args.out))
     return EXIT_OK
 
 
@@ -233,25 +223,19 @@ def _cmd_maintain_penalty(args) -> int:
 
 
 def _load_bank(path: Path):
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise QuizbankError(f"cannot read {path}: {exc}") from exc
-    bank = parse_bank(data)
+    bank = parse_bank(path.read_bytes())
     bank.output_path = path
     return bank
 
 
 def _write_maintained(bank, args) -> None:
     data = serialize_bank(bank)
-    target = args.out if args.out is not None else args.bank
-    try:
-        if target == args.bank and not args.no_backup:
-            backup = timestamped_backup(args.bank)
-            print(f"backup: {backup}", file=sys.stderr)
-        atomic_write_bytes(target, data)
-    except OSError as exc:
-        raise QuizbankError(f"cannot write {target}: {exc}") from exc
+    target = args.out
+    if target is None or (target.exists() and os.path.samefile(target, args.bank)):
+        target = args.bank  # any spelling of the bank's own path edits in place
+        if not args.no_backup:
+            print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
+    atomic_write_bytes(target, data)
 
 
 if __name__ == "__main__":

@@ -63,12 +63,15 @@ def render_preview(bank, output_path, math="cdn"):
     Returns the output path.
     """
     output_path = Path(output_path)
-    document = build_preview_html(bank, math=math)
-    try:
-        atomic_write_bytes(output_path, document.encode("utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot write preview to {output_path}: {exc}") from exc
+    atomic_write_bytes(output_path, build_preview_html(bank, math=math).encode("utf-8"))
     return output_path
+
+
+def temp_preview_file() -> Path:
+    """Create a new, empty, owner-only ``quizbank-preview-*.html`` temp file."""
+    fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
+    os.close(fd)
+    return Path(name)
 
 
 def open_preview(bank):
@@ -80,9 +83,7 @@ def open_preview(bank):
     """
     import webbrowser  # here, not at the top: every CLI process would pay for it
 
-    fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
-    os.close(fd)
-    path = render_preview(bank, name)
+    path = render_preview(bank, temp_preview_file())
     try:
         opened = webbrowser.open(path.as_uri())
     except Exception:

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, atomicity, backups, reports."""
 
 import contextlib
+import errno
 import io
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -204,6 +206,22 @@ class TestMaintain:
         assert list(bank_file.parent.glob("*.bak")) == []
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spelling", ["absolute", "dotdot"])
+    def test_out_naming_the_bank_is_in_place_with_backup(
+        self, bank_file, capsys, monkeypatch, spelling
+    ):
+        # The bank is named relative to the working directory, --out otherwise.
+        monkeypatch.chdir(bank_file.parent)
+        (bank_file.parent / "sub").mkdir()
+        before = bank_file.read_bytes()
+        out = str(bank_file) if spelling == "absolute" else "sub/../fixture.xml"
+        argv = ["maintain", "fixture.xml", "set-penalty", "-20", "--out", out]
+        assert main(argv) == 0
+        [backup] = bank_file.parent.glob("fixture.xml.*.bak")
+        assert f"backup: {backup.name}" in capsys.readouterr().err
+        assert backup.read_bytes() == before
+        assert b'fraction="-20"' in bank_file.read_bytes()
+
     def test_output_reparses_cleanly(self, bank_file, capsys):
         main(["maintain", str(bank_file), "replace-text", "Flux", "Radiant flux",
               "--no-backup"])
@@ -255,6 +273,31 @@ FOREIGN_FRACTION = b"""<?xml version="1.0" encoding="UTF-8"?>
 
 def _error_lines(err):
     return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def _full_disk_copy(source, target):
+    # Writes the first 1,000 bytes of the copy, then fails as a full disk would.
+    with open(source, "rb") as src, open(target, "wb") as dst:
+        dst.write(src.read(1000))
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_OS_FAILURES = {
+    "stats-missing": (["stats", "{missing}"], "missing.xml"),
+    "stats-directory": (["stats", "{directory}"], "folder"),
+    "preview-missing": (["preview", "{missing}", "--out", "{dir}/p.html"], "missing.xml"),
+    "preview-directory": (["preview", "{directory}", "--out", "{dir}/p.html"], "folder"),
+    "maintain-missing": (["maintain", "{missing}", "set-penalty", "0"], "missing.xml"),
+    "maintain-directory": (["maintain", "{directory}", "set-penalty", "0"], "folder"),
+    "preview-out-missing-dir": (
+        ["preview", "{bank}", "--out", "{dir}/nowhere/p.html"], "p.html"
+    ),
+    "maintain-out-missing-dir": (
+        ["maintain", "{bank}", "set-penalty", "0", "--out", "{dir}/nowhere/b.xml"], "b.xml"
+    ),
+    "maintain-out-dot": (["maintain", "{bank}", "set-penalty", "0", "--out", "."], "'.'"),
+    "failed-backup": (["maintain", "{bank}", "set-penalty", "-30"], ".bak"),
+}
 
 
 class TestFailureMessages:
@@ -313,13 +356,24 @@ class TestFailureMessages:
         assert code == 1
         assert len(_error_lines(capsys.readouterr().err)) == 1
 
-    def test_preview_into_missing_directory(self, bank_file, tmp_path, capsys):
-        before = sorted(p.name for p in tmp_path.iterdir())
-        target = tmp_path / "missing" / "x.html"
-        assert main(["preview", str(bank_file), "--out", str(target)]) == 2
-        err = capsys.readouterr().err
-        assert len(_error_lines(err)) == 1 and "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    @pytest.mark.parametrize("case", _OS_FAILURES)
+    def test_os_failure_exits_2_with_one_error_line(self, bank_file, capsys, monkeypatch, case):
+        directory = bank_file.parent
+        (directory / "folder").mkdir()
+        monkeypatch.chdir(directory)
+        if case == "failed-backup":
+            monkeypatch.setattr("quizbank.fileio.shutil.copy2", _full_disk_copy)
+        before = bank_file.read_bytes()
+        argv, named = _OS_FAILURES[case]
+        paths = {"missing": directory / "missing.xml", "directory": directory / "folder"}
+        argv = [arg.format(bank=bank_file, dir=directory, **paths) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and named in line, line
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in directory.rglob("*")) == ["fixture.xml", "folder"]
+        assert bank_file.read_bytes() == before
 
     def test_failed_preview_write_leaves_no_temp_file(self, bank_file, tmp_path, capsys):
         # Replacing a directory fails after the temp file was written.
@@ -402,6 +456,50 @@ class TestFailureMessages:
         assert len(_error_lines(err)) == 1 and "Traceback" not in err
         assert bank_file.read_bytes() == before
         assert [p.name for p in bank_file.parent.iterdir()] == [bank_file.name]
+
+
+@contextlib.contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+class TestFileModes:
+    @pytest.mark.parametrize(
+        "mask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_new_files_get_the_umask_mode(self, build_script, tmp_path, capsys, mask, mode):
+        bank, page = tmp_path / "bank.xml", tmp_path / "bank.html"
+        with _umask(mask):
+            assert main(["build", str(build_script), "--out", str(bank)]) == 0
+            assert main(["preview", str(bank), "--out", str(page)]) == 0
+        capsys.readouterr()
+        assert (_mode(bank), _mode(page)) == (mode, mode)
+
+    def test_maintained_bank_and_backup_keep_the_bank_mode(self, bank_file, capsys):
+        bank_file.chmod(0o640)
+        with _umask(0o022):
+            assert main(["maintain", str(bank_file), "set-penalty", "-25"]) == 0
+        capsys.readouterr()
+        [backup] = bank_file.parent.glob("fixture.xml.*.bak")
+        assert (_mode(bank_file), _mode(backup)) == (0o640, 0o640)
+
+    def test_default_preview_stays_owner_only(self, bank_file, capsys):
+        with _umask(0o022):
+            assert main(["preview", str(bank_file)]) == 0
+        page = Path(capsys.readouterr().out.strip())
+        try:
+            assert _mode(page) == 0o600
+        finally:
+            page.unlink()
 
 
 FOREIGN_MOODLE = b"""<?xml version="1.0" encoding="UTF-8"?>
