@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import runpy
 import sys
-import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -151,6 +149,9 @@ def _cmd_build(args) -> int:
             raise _UsageError(
                 f"${SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             )
+    import runpy  # here, not at the top: only build runs scripts and prints tracebacks
+    import traceback
+
     token = bank_module.build_overrides.set({"seed": seed, "out": args.out})
     try:
         runpy.run_path(str(script), run_name="__main__")

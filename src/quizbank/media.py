@@ -9,34 +9,46 @@ local files.
 
 from __future__ import annotations
 
-import base64
-import html
 import re
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import ChoiceSet, MatchPairList
+from .model import ChoiceSet, MatchPairList, Record
 
 _MEDIA_TYPE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*/[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*$")
 
 
-@dataclass(frozen=True)
-class MediaAsset:
-    """Raw media content plus its IANA media type (e.g. "image/png")."""
+class MediaAsset(Record):
+    """Raw media content plus its IANA media type (e.g. "image/png"). Frozen:
+    fields cannot be assigned or deleted, and equal assets hash alike."""
 
-    data: bytes
-    media_type: str
-    alt_text: str | None = None
+    __slots__ = __match_args__ = ("data", "media_type", "alt_text")
 
-    def __post_init__(self):
-        if not self.data:
+    def __init__(self, data: bytes, media_type: str, alt_text: str | None = None):
+        try:
+            empty = not memoryview(data)
+        except TypeError:
+            raise ValidationError(f"media data is not bytes-like: {type(data).__name__}") from None
+        if empty:
             raise ValidationError("media asset has no content")
-        if not _MEDIA_TYPE_RE.match(self.media_type):
-            raise ValidationError(
-                f"media type {self.media_type!r} is not a valid type/subtype string"
-            )
+        if not isinstance(media_type, str) or not _MEDIA_TYPE_RE.match(media_type):
+            raise ValidationError(f"media type {media_type!r} is not a valid type/subtype string")
+        if alt_text is not None and not isinstance(alt_text, str):
+            raise ValidationError(f"alt text must be a string or None, got {alt_text!r}")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "media_type", media_type)
+        object.__setattr__(self, "alt_text", alt_text)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def data_uri(self) -> str:
+        import base64  # here, not at the top: only embedding encodes media
+
         payload = base64.b64encode(self.data).decode("ascii")
         return f"data:{self.media_type};base64,{payload}"
 
@@ -47,6 +59,8 @@ def embed_image(asset: MediaAsset) -> str:
         raise ValidationError(
             f"embed_image needs an image/* asset, got {asset.media_type!r}"
         )
+    import html  # here, not at the top: only image embedding and previews escape text
+
     alt = html.escape(asset.alt_text or "", quote=True)
     return f'<img src="{asset.data_uri()}" alt="{alt}">'
 

@@ -1,7 +1,7 @@
 """Core question data types plus the text/number canonicalization helpers.
 
 Everything downstream (generation, XML output, previews, bulk edits) works
-on these dataclasses, so the question invariants (check_question), duplicate
+on these plain records, so the question invariants (check_question), duplicate
 checks and deterministic rendering rules all live here.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateTextError, ValidationError
@@ -25,41 +24,72 @@ class QuestionKind(str, Enum):
     MATCHING = "matching"
 
 
-@dataclass
-class Choice:
+class Record:
+    """Base of the ``__slots__`` records: dataclass-style equality (which
+    leaves them unhashable) and repr over the fields in ``__match_args__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle (every protocol) rebuild through __init__
+        return self.__class__, self._fields()
+
+
+class Choice(Record):
     """One multiple-choice alternative: display text plus grade percentage.
 
     The correct alternative carries +100; wrong ones carry a negative
     penalty (by default -100/(k-1) for k alternatives).
     """
 
-    text: str
-    fraction: float
+    __slots__ = __match_args__ = ("text", "fraction")
+
+    def __init__(self, text: str, fraction: float):
+        self.text = text
+        self.fraction = fraction
 
 
-@dataclass
-class ChoiceSet:
-    choices: list[Choice]
+class ChoiceSet(Record):
+    __slots__ = __match_args__ = ("choices",)
+
+    def __init__(self, choices: list[Choice]):
+        self.choices = choices
 
 
-@dataclass
-class ShortAnswerSet:
-    answers: list[str]
+class ShortAnswerSet(Record):
+    __slots__ = __match_args__ = ("answers",)
+
+    def __init__(self, answers: list[str]):
+        self.answers = answers
 
 
-@dataclass
-class NumericalAnswerSet:
-    answers: list[int | float]
-    tolerance: float = 0.01
+class NumericalAnswerSet(Record):
+    __slots__ = __match_args__ = ("answers", "tolerance")
+
+    def __init__(self, answers: list[int | float], tolerance: float = 0.01):
+        self.answers = answers
+        self.tolerance = tolerance
 
 
-@dataclass
-class MatchPairList:
-    pairs: list[tuple[str, str]]
+class MatchPairList(Record):
+    __slots__ = __match_args__ = ("pairs",)
+
+    def __init__(self, pairs: list[tuple[str, str]]):
+        self.pairs = pairs
 
 
-@dataclass
-class Question:
+class Question(Record):
     """A single bank entry.
 
     ``stem`` is HTML and may embed LaTeX delimited by ``\\( \\)`` or
@@ -68,11 +98,14 @@ class Question:
     was added ("" means the importing LMS's default category).
     """
 
-    kind: QuestionKind
-    name: str
-    stem: str
-    payload: ChoiceSet | ShortAnswerSet | NumericalAnswerSet | MatchPairList
-    category: str = ""
+    __slots__ = __match_args__ = ("kind", "name", "stem", "payload", "category")
+
+    def __init__(self, kind: QuestionKind, name: str, stem: str, payload, category: str = ""):
+        self.kind = kind
+        self.name = name
+        self.stem = stem
+        self.payload = payload  # a ChoiceSet, ShortAnswerSet, NumericalAnswerSet or MatchPairList
+        self.category = category
 
 
 def render_text(value) -> str:

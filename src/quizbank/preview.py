@@ -14,7 +14,6 @@ offline previews, or None to drop math rendering.
 
 from __future__ import annotations
 
-import html
 import os
 import tempfile
 from pathlib import Path
@@ -94,6 +93,8 @@ def open_preview(bank):
 
 
 def build_preview_html(bank, math="cdn") -> str:
+    from html import escape  # here, not at the top: only previews and images escape text
+
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en">',
@@ -106,7 +107,7 @@ def build_preview_html(bank, math="cdn") -> str:
     parts.append("</head>")
     parts.append("<body>")
     parts.append("<main>")
-    source = html.escape(str(bank.output_path)) if bank.output_path else "unsaved bank"
+    source = escape(str(bank.output_path)) if bank.output_path else "unsaved bank"
     parts.append(f"<h1>Question bank preview &mdash; {source}</h1>")
     if not bank.questions:
         parts.append('<p class="empty-notice">This bank contains no questions.</p>')
@@ -115,9 +116,9 @@ def build_preview_html(bank, math="cdn") -> str:
         category = question.category
         if category != shown_category:
             heading = category.replace("/", " / ") if category else "Default category"
-            parts.append(f'<h2 class="category">{html.escape(heading)}</h2>')
+            parts.append(f'<h2 class="category">{escape(heading)}</h2>')
             shown_category = category
-        parts.append(_question_block(question, index))
+        parts.append(_question_block(question, index, escape))
     # The trailing newline rides on the last part, so the page is joined once.
     parts += ["</main>", "</body>", "</html>\n"]
     return "\n".join(parts)
@@ -133,12 +134,12 @@ def _math_script(math):
     return [f"<script>{_MATH_CONFIG}</script>", renderer]
 
 
-def _question_block(question, index) -> str:
+def _question_block(question, index, escape) -> str:
     shown_name = question.name if question.name else f"Q{index}"
     rows = [
         f'<article class="question" data-kind="{question.kind.value}">',
         "<header>"
-        f'<span class="question-name">{html.escape(shown_name)}</span>'
+        f'<span class="question-name">{escape(shown_name)}</span>'
         f'<span class="question-kind">{question.kind.value}</span>'
         "</header>",
         f'<div class="stem">{question.stem}</div>',
@@ -151,17 +152,17 @@ def _question_block(question, index) -> str:
         tolerance = canonical_number(question.payload.tolerance)
         rows.append(
             '<div class="response"><input type="text" disabled>'
-            f'<span class="accepted">{html.escape(accepted)}</span>'
-            f'<span class="tolerance">&plusmn; {html.escape(tolerance)}</span></div>'
+            f'<span class="accepted">{escape(accepted)}</span>'
+            f'<span class="tolerance">&plusmn; {escape(tolerance)}</span></div>'
         )
     elif kind is QuestionKind.SHORT_ANSWER:
         accepted = " | ".join(question.payload.answers)
         rows.append(
             '<div class="response"><input type="text" disabled>'
-            f'<span class="accepted">{html.escape(accepted)}</span></div>'
+            f'<span class="accepted">{escape(accepted)}</span></div>'
         )
     elif kind is QuestionKind.MATCHING:
-        rows.append(_matching_body(question.payload))
+        rows.append(_matching_body(question.payload, escape))
     rows.append("</article>")
     return "\n".join(rows)
 
@@ -182,7 +183,7 @@ def _choices_body(payload) -> str:
     return '<ol class="choices">\n' + "\n".join(items) + "\n</ol>"
 
 
-def _matching_body(payload) -> str:
+def _matching_body(payload, escape) -> str:
     # One drop-down per prompt, options in pair order, the first option equal
     # to its own match selected.
     options_in_order = [match for _, match in payload.pairs]
@@ -190,7 +191,7 @@ def _matching_body(payload) -> str:
     for prompt, match in payload.pairs:
         first = options_in_order.index(match)
         options = [
-            f"<option{' selected' if i == first else ''}>{html.escape(option)}</option>"
+            f"<option{' selected' if i == first else ''}>{escape(option)}</option>"
             for i, option in enumerate(options_in_order)
         ]
         rows.append(

@@ -23,6 +23,8 @@ from conftest import PNG_1PX, build_rich_bank
 from test_moodle_xml import _EDITS, _UNREADABLE_ENCODINGS, _question, _writer_output
 from quizbank import QuestionBank
 
+# Child interpreters import this checkout's quizbank.
+_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(quizbank.__file__).resolve().parents[1])}
 
 BUILD_SCRIPT = """\
 from quizbank import QuestionBank
@@ -445,8 +447,7 @@ class TestFailureMessages:
         # The shell passes $'\xff' as a raw byte; Python (in UTF-8 mode, as
         # under any UTF-8 or C locale) decodes it to a lone surrogate.
         before = bank_file.read_bytes()
-        src = Path(quizbank.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "1"}
+        env = {**_SUBPROCESS_ENV, "PYTHONUTF8": "1"}
         argv = [sys.executable, "-m", "quizbank.cli", "maintain", str(bank_file)]
         result = subprocess.run(
             [*argv, "replace-text", "Paris", b"\xff"], env=env, capture_output=True
@@ -456,6 +457,75 @@ class TestFailureMessages:
         assert len(_error_lines(err)) == 1 and "Traceback" not in err
         assert bank_file.read_bytes() == before
         assert [p.name for p in bank_file.parent.iterdir()] == [bank_file.name]
+
+
+# Modules only some commands need; importing quizbank.cli must not load them.
+_ON_USE_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "html", "html.entities", "traceback",
+    "runpy", "xml.etree.ElementTree", "webbrowser", "base64",
+}
+
+_MEDIA_SCRIPT = f"""\
+from quizbank import MediaAsset, QuestionBank, embed_image
+
+image = embed_image(MediaAsset({PNG_1PX!r}, "image/png", alt_text='a "dot" <&>'))
+Q = QuestionBank("fallback.xml", seed=3)
+Q.addMultipleChoice("dot", "What is shown? " + image, ["a dot", "a line", "a square"])
+Q.close()
+"""
+
+
+def _cli_process(args, cwd):
+    return subprocess.run(
+        [sys.executable, "-m", "quizbank.cli", *args], env=_SUBPROCESS_ENV, cwd=cwd,
+        capture_output=True, text=True,
+    )
+
+
+class TestStartup:
+    """Start-up cost: on-use imports stay out of a fresh ``import quizbank.cli``,
+    and the commands that need them still load them in a real process (pytest
+    has already imported them in this one)."""
+
+    def test_import_loads_no_on_use_module(self):
+        def modules(code):
+            listing = "import sys; print('\\n'.join(sys.modules))"
+            done = subprocess.run(
+                [sys.executable, "-c", code + listing], env=_SUBPROCESS_ENV,
+                capture_output=True, text=True, check=True,
+            )
+            return set(done.stdout.split())
+
+        added = modules("import quizbank.cli; ") - modules("")
+        assert "quizbank.cli" in added
+        assert added & _ON_USE_MODULES == set()
+
+    def test_failing_script_prints_traceback(self, tmp_path):
+        script = tmp_path / "broken.py"
+        script.write_text("raise RuntimeError('boom')\n", encoding="utf-8")
+        result = _cli_process(["build", str(script)], tmp_path)
+        assert result.returncode == 2
+        assert "Traceback (most recent call last)" in result.stderr
+        assert "RuntimeError: boom" in result.stderr
+
+    def test_media_build_and_preview_match_in_process(self, tmp_path, monkeypatch):
+        script = tmp_path / "media.py"
+        script.write_text(_MEDIA_SCRIPT, encoding="utf-8")
+        commands = [
+            ["build", str(script), "--out", "bank.xml"],
+            ["preview", "bank.xml", "--out", "page.html"],
+        ]
+        for where in ("child", "here"):
+            (tmp_path / where).mkdir()
+        for args in commands:
+            result = _cli_process(args, tmp_path / "child")
+            assert result.returncode == 0, result.stderr
+        monkeypatch.chdir(tmp_path / "here")
+        for args in commands:
+            assert main(args) == 0
+        for name in ("bank.xml", "page.html"):
+            assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        assert 'alt="a &quot;dot&quot; &lt;&amp;&gt;"' in (tmp_path / "here" / "bank.xml").read_text()
 
 
 @contextlib.contextmanager

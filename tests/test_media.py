@@ -26,6 +26,23 @@ class TestMediaAsset:
         with pytest.raises(ValidationError):
             MediaAsset(PNG_1PX, bad)
 
+    def test_text_data_rejected(self):
+        with pytest.raises(ValidationError, match="bytes-like"):
+            MediaAsset("abc", "image/png")
+
+    def test_non_string_media_type_rejected(self):
+        with pytest.raises(ValidationError, match="media type 5"):
+            MediaAsset(PNG_1PX, 5)
+
+    def test_non_string_alt_text_rejected(self):
+        with pytest.raises(ValidationError, match="alt text"):
+            MediaAsset(PNG_1PX, "image/png", 7)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_bytearray_and_memoryview_data_accepted(self, wrap):
+        fragment = embed_image(MediaAsset(wrap(PNG_1PX), "image/png"))
+        assert decode_payload(fragment) == PNG_1PX
+
 
 class TestEmbedImage:
     def test_payload_round_trips(self):
