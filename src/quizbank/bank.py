@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import generators
 from .errors import DuplicateTextError, QuizbankError, ValidationError
-from .fileio import atomic_write_bytes
+# atomic_write_bytes goes unused here; benchmarks/tracing.py wraps it by this name.
+from .fileio import atomic_write_bytes, atomic_write_chunks  # noqa: F401
 from .model import (
     MatchPairList,
     NumericalAnswerSet,
@@ -210,11 +211,10 @@ class QuestionBank:
             raise QuizbankError("bank has no output path; cannot close")
         if not self.questions:
             self.warn(f"closing an empty bank: {self.output_path} will contain no questions")
-        from .moodle_xml import serialize_bank
+        from .moodle_xml import serialize_chunks
 
-        data = serialize_bank(self)
         try:
-            atomic_write_bytes(self.output_path, data)
+            atomic_write_chunks(self.output_path, serialize_chunks(self))
         except OSError as exc:
             raise QuizbankError(f"cannot write question bank: {exc}") from exc
         self._closed = True

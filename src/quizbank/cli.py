@@ -15,10 +15,12 @@ from pathlib import Path
 
 from . import bank as bank_module
 from .errors import QuizbankError, ValidationError
-from .fileio import atomic_write_bytes, timestamped_backup
+# Writes stream, so atomic_write_bytes and serialize_bank go unused here;
+# benchmarks/tracing.py wraps them by these names.
+from .fileio import atomic_write_bytes, atomic_write_chunks, timestamped_backup  # noqa: F401
 from .maintenance import replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
-from .moodle_xml import parse_bank, serialize_bank
+from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
 from .preview import render_preview, temp_preview_file
 
 EXIT_OK = 0
@@ -230,13 +232,13 @@ def _load_bank(path: Path):
 
 
 def _write_maintained(bank, args) -> None:
-    data = serialize_bank(bank)
-    target = args.out
+    target, backup = args.out, None
     if target is None or (target.exists() and os.path.samefile(target, args.bank)):
         target = args.bank  # any spelling of the bank's own path edits in place
         if not args.no_backup:
-            print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
-    atomic_write_bytes(target, data)
+            def backup():  # once the edited bank is on file whole, before the rename
+                print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
+    atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ place, so no partial file can ever appear. A new file gets the mode
 open() would give it (0666 less the umask); a replaced file keeps its
 permission bits. A failure removes the temporary file, leaves the target
 untouched and raises an OSError that names the target.
+
+Documents stream into the temporary file as UTF-8 chunks (utf8_chunks), so
+a write holds the document's texts plus one chunk, not the whole document.
 """
 
 from __future__ import annotations
@@ -17,9 +20,56 @@ import time
 from pathlib import Path
 
 
+# Streamed text is encoded in chunks of about this many characters.
+CHUNK_CHARS = 1 << 20
+
+
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` so that no partial file can ever appear."""
-    _replace_via_temp(Path(path), lambda tmp: tmp.write_bytes(data))
+    atomic_write_chunks(path, (data,))
+
+
+def atomic_write_chunks(path: Path, chunks, before_replace=None) -> None:
+    """Stream bytes ``chunks`` to ``path`` atomically; an exception raised while
+    making them abandons the write. ``before_replace()`` runs once all are on
+    file, just before the rename."""
+
+    def fill(tmp):
+        with open(tmp, "wb") as out:
+            out.writelines(chunks)  # drops each chunk before making the next
+        if before_replace is not None:
+            before_replace()
+
+    _replace_via_temp(Path(path), fill)
+
+
+def utf8_chunks(blocks, check=None):
+    """Encode the str pieces of ``blocks`` (lists of str) as UTF-8 chunks of
+    under CHUNK_CHARS characters, each passed to ``check(text, data)`` if
+    given. A longer piece is a chunk of its own, so no join copies it."""
+    size, batch, length = CHUNK_CHARS, [], 0
+    for block in blocks:
+        block_length = sum(map(len, block))
+        if length + block_length < size:  # the common case: the whole block fits
+            batch += block
+            length += block_length
+            continue
+        for piece in block:
+            if batch and length + len(piece) >= size:
+                yield _encoded(batch, check)
+                batch, length = [], 0
+            batch.append(piece)
+            length += len(piece)
+    if batch:
+        yield _encoded(batch, check)
+
+
+def _encoded(pieces, check) -> bytes:
+    text = "".join(pieces)  # one piece is returned as it is, uncopied
+    data = text.encode("utf-8")
+    if check is not None:
+        check(text, data)
+    return data
 
 
 def timestamped_backup(path: Path) -> Path:
@@ -54,4 +104,6 @@ def _replace_via_temp(path: Path, fill) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
+        if exc.filename not in (None, tmp, str(tmp)):
+            raise  # about another file, such as a failed backup: it names that file
         raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc

@@ -82,15 +82,21 @@ def embed_raw_html(fragment: str) -> str:
     return fragment
 
 
-_DATA_URI_RE = re.compile(r"data:[\w!#$&^.+-]+/[\w!#$&^.+-]+;base64,([A-Za-z0-9+/=]+)")
+# Compiled on first use (re caches it): only stats scans for data URIs.
+_DATA_URI = r"data:[\w!#$&^.+-]+/[\w!#$&^.+-]+;base64,([A-Za-z0-9+/=]+)"
 
 
 def data_uri_payload_bytes(text: str) -> int:
     """Total decoded size of every base64 data URI embedded in ``text``."""
+    if ";base64," not in text:  # a C-speed search spares most texts the regex
+        return 0
     total = 0
-    for match in _DATA_URI_RE.finditer(text):
-        payload = match.group(1).rstrip("=")
-        total += (len(payload) * 3) // 4
+    for match in re.compile(_DATA_URI).finditer(text):
+        # Sized from the span and the padding, without copying the payload.
+        start, end = match.span(1)
+        while end > start and text[end - 1] == "=":
+            end -= 1
+        total += ((end - start) * 3) // 4
     return total
 
 

@@ -16,10 +16,12 @@ that maintenance tooling can operate on mixed banks.
 
 from __future__ import annotations
 
+import io
 import re
 
 from .bank import QuestionBank
 from .errors import BankParseError, QuizbankError
+from .fileio import utf8_chunks
 from .model import (
     Choice,
     ChoiceSet,
@@ -83,21 +85,16 @@ _SUBQUESTION = (
 )
 
 
-# The reader's match functions: an attribute field reads [^"<>]*, so it cannot
-# backtrack over its line; other fields read [^<>]* (_unescape checks entities).
-def _match(piece):
-    pattern = re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
-    return re.compile(pattern).match
-
-
-_READ_CATEGORY = _match(_CATEGORY)
-_READ_HEAD = _match(_QUESTION[0])
-_READ_SHORT_ANSWER = _match(_SHORT_ANSWER)
-_READ_NUMERICAL_ANSWER = _match(_NUMERICAL_ANSWER)
-_READ_CHOICE = _match(_CHOICE[0])
 # A pair's CDATA prompt ends where its escaped match begins.
 _MATCH_CLOSE = _SUBQUESTION[1].partition("%s")[0]
-_READ_MATCH = _match(_SUBQUESTION[1][len(_MATCH_CLOSE):])
+# The reader's patterns, compiled on first use (a build never reads a bank): an
+# attribute field reads [^"<>]*, so it cannot backtrack over its line; other
+# fields read [^<>]* (_unescape checks entities).
+_READERS = [
+    re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
+    for piece in (_CATEGORY, _QUESTION[0], _SHORT_ANSWER, _NUMERICAL_ANSWER, _CHOICE[0],
+                  _SUBQUESTION[1][len(_MATCH_CLOSE):])
+]
 
 
 def escape_for_cdata(text: str) -> str:
@@ -125,24 +122,25 @@ def format_fraction(value) -> str:
 def serialize_bank(bank) -> bytes:
     """Emit a bank as Moodle XML bytes (UTF-8, LF line endings); raise
     QuizbankError naming any question or category XML cannot encode."""
-    parts = [_DOCUMENT[0]]
-    emitted_category = ""  # the importer's default until a marker says otherwise
-    for question in bank.questions:
-        if question.category != emitted_category:
-            emitted_category = question.category
-            marker = CATEGORY_PREFIX + (f"/{emitted_category}" if emitted_category else "")
-            parts.append(_CATEGORY % escape_xml_text(marker))
-        _emit_question(parts, question)
-    parts.append(_DOCUMENT[1])
-    text = "".join(parts)
+    # A BytesIO grows in place and hands over its buffer uncopied: unlike a
+    # join, it never holds the document beside a list of all its chunks.
+    out = io.BytesIO()
+    out.writelines(serialize_chunks(bank))
+    return out.getvalue()
+
+
+def serialize_chunks(bank):
+    """Yield serialize_bank's document as UTF-8 chunks of about 1 MiB. Each is
+    scanned first, so the QuizbankError may follow good chunks."""
+
+    def check(text, data):
+        if not _xml_legal(text, data):
+            raise _unencodable_error(bank)
+
     try:
-        data = text.encode("utf-8")
+        yield from utf8_chunks(_document_blocks(bank), check)
     except UnicodeEncodeError:
         raise _unencodable_error(bank) from None
-    # One scan of the whole document; only a hit walks the questions.
-    if not _xml_legal(text, data):
-        raise _unencodable_error(bank)
-    return data
 
 
 def parse_bank(data) -> QuestionBank:
@@ -206,8 +204,23 @@ def parse_bank(data) -> QuestionBank:
 # -- writer ---------------------------------------------------------------
 
 
+def _document_blocks(bank):
+    """The document as one list of str pieces per question."""
+    yield [_DOCUMENT[0]]
+    emitted_category = ""  # the importer's default until a marker says otherwise
+    for question in bank.questions:
+        parts = []
+        if question.category != emitted_category:
+            emitted_category = question.category
+            marker = CATEGORY_PREFIX + (f"/{emitted_category}" if emitted_category else "")
+            parts.append(_CATEGORY % escape_xml_text(marker))
+        _emit_question(parts, question)
+        yield parts
+    yield [_DOCUMENT[1]]
+
+
 def _emit_question(parts, question) -> None:
-    # Each CDATA text is an item of its own, so only the final join copies it.
+    # Each CDATA text is an item of its own, so no join copies a long one.
     kind = question.kind.value
     head = _QUESTION[0] % (kind, escape_xml_text(question.name))
     parts += (head, escape_for_cdata(question.stem), _STEM_CLOSE[kind])
@@ -264,12 +277,16 @@ def _parse_own_layout(data) -> QuestionBank:
     text = data.decode("utf-8")
     if not (_xml_legal(text, data) and text.startswith(_DOCUMENT[0])):
         raise ValueError("not the writer's layout")
+    # re caches compiled patterns, so only the first parse compiles these.
+    read_category, read_head, read_short, read_numerical, read_choice, read_match = (
+        re.compile(pattern).match for pattern in _READERS
+    )
     bank = QuestionBank(output_path=None)
     pos = len(_DOCUMENT[0])
     while not text.startswith(_DOCUMENT[1], pos):
-        head = _READ_HEAD(text, pos)
+        head = read_head(text, pos)
         if head is None or head[1] not in _STEM_CLOSE:  # a category, or no type of ours
-            block = _READ_CATEGORY(text, pos)
+            block = read_category(text, pos)
             if block is None:
                 raise ValueError("not the writer's layout")
             bank.category = _category_path(_unescape(block[1]))
@@ -279,13 +296,13 @@ def _parse_own_layout(data) -> QuestionBank:
         stem, pos = _cdata(text, head.end(), _STEM_CLOSE[kind])
         if kind == "shortanswer":
             answers = []
-            while item := _READ_SHORT_ANSWER(text, pos):
+            while item := read_short(text, pos):
                 answers.append(_unescape(item[1]))
                 pos = item.end()
             payload = ShortAnswerSet(answers)
         elif kind == "numerical":
             values, tolerances = [], set()
-            while item := _READ_NUMERICAL_ANSWER(text, pos):
+            while item := read_numerical(text, pos):
                 values.append(parse_number(_unescape(item[1])))
                 tolerances.add(item[2])
                 pos = item.end()
@@ -295,7 +312,7 @@ def _parse_own_layout(data) -> QuestionBank:
             payload = NumericalAnswerSet(values, tolerance)
         elif kind == "multichoice":
             choices = []
-            while item := _READ_CHOICE(text, pos):
+            while item := read_choice(text, pos):
                 choice, pos = _cdata(text, item.end(), _CHOICE[1])
                 choices.append(Choice(choice, float(item[1])))
             payload = ChoiceSet(choices)
@@ -303,7 +320,7 @@ def _parse_own_layout(data) -> QuestionBank:
             pairs = []
             while text.startswith(_SUBQUESTION[0], pos):
                 prompt, pos = _cdata(text, pos + len(_SUBQUESTION[0]), _MATCH_CLOSE)
-                if (item := _READ_MATCH(text, pos)) is None:
+                if (item := read_match(text, pos)) is None:
                     raise ValueError("not the writer's layout")
                 pairs.append((prompt, _unescape(item[1])))
                 pos = item.end()

@@ -18,7 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_chunks, utf8_chunks
 from .model import QuestionKind, canonical_number
 
 _STYLE = """
@@ -62,7 +62,7 @@ def render_preview(bank, output_path, math="cdn"):
     Returns the output path.
     """
     output_path = Path(output_path)
-    atomic_write_bytes(output_path, build_preview_html(bank, math=math).encode("utf-8"))
+    atomic_write_chunks(output_path, utf8_chunks(_page_blocks(bank, math)))
     return output_path
 
 
@@ -93,35 +93,40 @@ def open_preview(bank):
 
 
 def build_preview_html(bank, math="cdn") -> str:
+    """The page render_preview writes, as one string."""
+    return "".join([piece for block in _page_blocks(bank, math) for piece in block])
+
+
+def _page_blocks(bank, math):
+    """The page as lists of str pieces: the head, then one list per question.
+
+    Stems, choice texts and matching prompts are pieces of their own, so no
+    join copies them before the page is encoded.
+    """
     from html import escape  # here, not at the top: only previews and images escape text
 
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en">',
-        "<head>",
-        '<meta charset="utf-8">',
-        "<title>Question bank preview</title>",
-        f"<style>{_STYLE}</style>",
+    head = [
+        '<!DOCTYPE html>\n<html lang="en">\n<head>\n<meta charset="utf-8">',
+        f"<title>Question bank preview</title>\n<style>{_STYLE}</style>",
+        *_math_script(math),
+        "</head>\n<body>\n<main>",
     ]
-    parts.extend(_math_script(math))
-    parts.append("</head>")
-    parts.append("<body>")
-    parts.append("<main>")
     source = escape(str(bank.output_path)) if bank.output_path else "unsaved bank"
-    parts.append(f"<h1>Question bank preview &mdash; {source}</h1>")
+    head.append(f"<h1>Question bank preview &mdash; {source}</h1>")
     if not bank.questions:
-        parts.append('<p class="empty-notice">This bank contains no questions.</p>')
+        head.append('<p class="empty-notice">This bank contains no questions.</p>')
+    yield ["\n".join(head) + "\n"]
     shown_category = ""
     for index, question in enumerate(bank.questions, start=1):
+        block = []
         category = question.category
         if category != shown_category:
             heading = category.replace("/", " / ") if category else "Default category"
-            parts.append(f'<h2 class="category">{escape(heading)}</h2>')
+            block.append(f'<h2 class="category">{escape(heading)}</h2>\n')
             shown_category = category
-        parts.append(_question_block(question, index, escape))
-    # The trailing newline rides on the last part, so the page is joined once.
-    parts += ["</main>", "</body>", "</html>\n"]
-    return "\n".join(parts)
+        _question_block(block, question, index, escape)
+        yield block
+    yield ["</main>\n</body>\n</html>\n"]
 
 
 def _math_script(math):
@@ -134,69 +139,66 @@ def _math_script(math):
     return [f"<script>{_MATH_CONFIG}</script>", renderer]
 
 
-def _question_block(question, index, escape) -> str:
+def _question_block(pieces, question, index, escape) -> None:
+    """Append the question's <article> and a line break to ``pieces``."""
     shown_name = question.name if question.name else f"Q{index}"
-    rows = [
-        f'<article class="question" data-kind="{question.kind.value}">',
+    kind = question.kind
+    pieces += (
+        f'<article class="question" data-kind="{kind.value}">\n'
         "<header>"
         f'<span class="question-name">{escape(shown_name)}</span>'
-        f'<span class="question-kind">{question.kind.value}</span>'
-        "</header>",
-        f'<div class="stem">{question.stem}</div>',
-    ]
-    kind = question.kind
+        f'<span class="question-kind">{kind.value}</span>'
+        '</header>\n<div class="stem">',
+        question.stem,
+        "</div>\n",
+    )
     if kind is QuestionKind.MULTIPLE_CHOICE:
-        rows.append(_choices_body(question.payload))
+        _choices_body(pieces, question.payload)
     elif kind is QuestionKind.NUMERICAL:
         accepted = " | ".join(canonical_number(a) for a in question.payload.answers)
         tolerance = canonical_number(question.payload.tolerance)
-        rows.append(
+        pieces.append(
             '<div class="response"><input type="text" disabled>'
             f'<span class="accepted">{escape(accepted)}</span>'
             f'<span class="tolerance">&plusmn; {escape(tolerance)}</span></div>'
         )
     elif kind is QuestionKind.SHORT_ANSWER:
         accepted = " | ".join(question.payload.answers)
-        rows.append(
+        pieces.append(
             '<div class="response"><input type="text" disabled>'
             f'<span class="accepted">{escape(accepted)}</span></div>'
         )
     elif kind is QuestionKind.MATCHING:
-        rows.append(_matching_body(question.payload, escape))
-    rows.append("</article>")
-    return "\n".join(rows)
+        _matching_body(pieces, question.payload, escape)
+    pieces.append("\n</article>\n")
 
 
-def _choices_body(payload) -> str:
+def _choices_body(pieces, payload) -> None:
     # Correct alternative(s) first; everything else keeps its stored order.
     ordered = [c for c in payload.choices if c.fraction == 100]
     ordered += [c for c in payload.choices if c.fraction != 100]
-    items = []
+    # Each item ends its own line; a list with none keeps one blank line.
+    pieces.append('<ol class="choices">\n' if ordered else '<ol class="choices">\n\n')
     for choice in ordered:
         correct = choice.fraction == 100
         css = "choice correct" if correct else "choice"
         checked = " checked" if correct else ""
-        items.append(
-            f'<li class="{css}"><label><input type="radio" disabled{checked}> '
-            f"{choice.text}</label></li>"
-        )
-    return '<ol class="choices">\n' + "\n".join(items) + "\n</ol>"
+        label = f'<li class="{css}"><label><input type="radio" disabled{checked}> '
+        pieces += (label, choice.text, "</label></li>\n")
+    pieces.append("</ol>")
 
 
-def _matching_body(payload, escape) -> str:
+def _matching_body(pieces, payload, escape) -> None:
     # One drop-down per prompt, options in pair order, the first option equal
     # to its own match selected.
     options_in_order = [match for _, match in payload.pairs]
-    rows = ['<table class="match-pairs">']
+    pieces.append('<table class="match-pairs">\n')
     for prompt, match in payload.pairs:
         first = options_in_order.index(match)
         options = [
             f"<option{' selected' if i == first else ''}>{escape(option)}</option>"
             for i, option in enumerate(options_in_order)
         ]
-        rows.append(
-            f'<tr><td class="match-prompt">{prompt}</td>'
-            f"<td><select disabled>{''.join(options)}</select></td></tr>"
-        )
-    rows.append("</table>")
-    return "\n".join(rows)
+        select = f"</td><td><select disabled>{''.join(options)}</select></td></tr>\n"
+        pieces += ('<tr><td class="match-prompt">', prompt, select)
+    pieces.append("</table>")

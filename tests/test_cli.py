@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import json
 import os
 import random
 import stat
@@ -21,7 +22,7 @@ from quizbank.cli import main
 
 from conftest import PNG_1PX, build_rich_bank
 from test_moodle_xml import _EDITS, _UNREADABLE_ENCODINGS, _question, _writer_output
-from quizbank import QuestionBank
+from quizbank import Question, QuestionBank, QuestionKind, ShortAnswerSet
 
 # Child interpreters import this checkout's quizbank.
 _SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(quizbank.__file__).resolve().parents[1])}
@@ -302,6 +303,9 @@ _OS_FAILURES = {
 }
 
 
+_UNENCODABLE = {"surrogate": "\udcff", "bell": "\x07", "cr": "\r", "fffe": "\ufffe"}
+
+
 class TestFailureMessages:
     @pytest.mark.parametrize(
         "document, number",
@@ -398,9 +402,18 @@ class TestFailureMessages:
         assert "WARN:" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "new", ["\udcff", "\x07", "\r", "\ufffe"], ids=["surrogate", "bell", "cr", "fffe"]
+        "new, padding",
+        [(new, 0) for new in _UNENCODABLE.values()]
+        + [(new, 3 << 19) for new in _UNENCODABLE.values()],
+        ids=list(_UNENCODABLE) + [f"{name}-after-1.5MiB" for name in _UNENCODABLE],
     )
-    def test_unencodable_edit_is_rejected_before_backup(self, bank_file, capsys, new):
+    def test_unencodable_edit_is_rejected_before_backup(self, bank_file, capsys, new, padding):
+        if padding:  # the bad question then follows more than a chunk of good document
+            bank = parse_bank(bank_file.read_bytes())
+            bank.questions.insert(0, Question(
+                QuestionKind.SHORT_ANSWER, "padding", "x" * padding, ShortAnswerSet(["x"])
+            ))
+            bank_file.write_bytes(serialize_bank(bank))
         before = bank_file.read_bytes()
         listing = sorted(p.name for p in bank_file.parent.iterdir())
         code = main(["maintain", str(bank_file), "replace-text", "Paris", new])
@@ -499,6 +512,30 @@ class TestStartup:
         added = modules("import quizbank.cli; ") - modules("")
         assert "quizbank.cli" in added
         assert added & _ON_USE_MODULES == set()
+
+    def test_import_compiles_no_reader_pattern(self):
+        # Records every re.compile call: those a fresh import makes, then those
+        # the first parse and the first data-URI scan make.
+        code = (
+            "import json, re\n"
+            "compiled, real = [], re.compile\n"
+            "re.compile = lambda pattern, flags=0: compiled.append(pattern) or real(pattern, flags)\n"
+            "import quizbank.cli\n"
+            "at_import = compiled[:]\n"
+            "from quizbank import QuestionBank, parse_bank, serialize_bank\n"
+            "from quizbank.media import data_uri_payload_bytes\n"
+            "parse_bank(serialize_bank(QuestionBank(None)))\n"
+            "assert data_uri_payload_bytes('data:image/png;base64,AAAA') == 3\n"
+            "print(json.dumps([at_import, compiled[len(at_import):]]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=_SUBPROCESS_ENV,
+            capture_output=True, text=True, check=True,
+        )
+        at_import, on_use = json.loads(done.stdout)
+        # The reader's six layout patterns and the data-URI pattern.
+        assert len(set(on_use)) == 7
+        assert set(on_use) & set(at_import) == set()
 
     def test_failing_script_prints_traceback(self, tmp_path):
         script = tmp_path / "broken.py"

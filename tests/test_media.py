@@ -91,13 +91,15 @@ class TestEmbedRawHtml:
 
 class TestPayloadAccounting:
     def test_data_uri_payload_bytes_is_exact(self):
-        fragment = embed_image(MediaAsset(PNG_1PX, "image/png"))
-        assert data_uri_payload_bytes(fragment) == len(PNG_1PX)
+        # 3, 4 and 5 bytes encode with no, two and one "=" of padding.
+        for payload in (PNG_1PX, b"abc", b"abcd", b"abcde"):
+            fragment = embed_image(MediaAsset(payload, "image/png"))
+            assert data_uri_payload_bytes(fragment) == len(payload)
 
     def test_multiple_uris_are_summed(self):
         one = embed_image(MediaAsset(PNG_1PX, "image/png"))
-        two = embed_video(MediaAsset(b"abcdef", "video/mp4"))
-        assert data_uri_payload_bytes(one + two) == len(PNG_1PX) + 6
+        padded = [embed_video(MediaAsset(b"abcdef"[:n], "video/mp4")) for n in (6, 5, 4)]
+        assert data_uri_payload_bytes(one + " and ".join(padded)) == len(PNG_1PX) + 15
 
     def test_question_media_bytes_covers_choices(self, make_bank):
         fragment = embed_image(MediaAsset(PNG_1PX, "image/png"))
