@@ -20,8 +20,9 @@ import time
 from pathlib import Path
 
 
-# Streamed text is encoded in chunks of about this many characters.
-CHUNK_CHARS = 1 << 20
+# Streamed text is encoded in chunks of under this many characters: a chunk's
+# str and its encoding stay near 1 MiB together for ASCII text.
+CHUNK_CHARS = 1 << 19
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -46,7 +47,7 @@ def atomic_write_chunks(path: Path, chunks, before_replace=None) -> None:
 def utf8_chunks(blocks, check=None):
     """Encode the str pieces of ``blocks`` (lists of str) as UTF-8 chunks of
     under CHUNK_CHARS characters, each passed to ``check(text, data)`` if
-    given. A longer piece is a chunk of its own, so no join copies it."""
+    given. A longer piece is sliced into consecutive chunks of its own."""
     size, batch, length = CHUNK_CHARS, [], 0
     for block in blocks:
         block_length = sum(map(len, block))
@@ -58,6 +59,10 @@ def utf8_chunks(blocks, check=None):
             if batch and length + len(piece) >= size:
                 yield _encoded(batch, check)
                 batch, length = [], 0
+            if len(piece) >= size:
+                for start in range(0, len(piece), size - 1):
+                    yield _encoded([piece[start:start + size - 1]], check)
+                continue
             batch.append(piece)
             length += len(piece)
     if batch:

@@ -9,6 +9,7 @@ local files.
 
 from __future__ import annotations
 
+import binascii
 import re
 
 from .errors import ValidationError
@@ -47,10 +48,18 @@ class MediaAsset(Record):
         return hash(self._fields())
 
     def data_uri(self) -> str:
-        import base64  # here, not at the top: only embedding encodes media
+        return _around_data_uri("", self, "")
 
-        payload = base64.b64encode(self.data).decode("ascii")
-        return f"data:{self.media_type};base64,{payload}"
+
+def _around_data_uri(before: str, asset: MediaAsset, after: str) -> str:
+    """before + the asset's data URI + after, from one join of the base64 bytes
+    and one decode: two full-size copies at most are alive at once."""
+    head = f"{before}data:{asset.media_type};base64,".encode()
+    # A non-ASCII after would make the decoder widen a full-size str midway.
+    tail, rest = (after, "") if after.isascii() else ("", after)
+    return b"".join(
+        (head, binascii.b2a_base64(asset.data, newline=False), tail.encode())
+    ).decode("ascii") + rest
 
 
 def embed_image(asset: MediaAsset) -> str:
@@ -62,7 +71,7 @@ def embed_image(asset: MediaAsset) -> str:
     import html  # here, not at the top: only image embedding and previews escape text
 
     alt = html.escape(asset.alt_text or "", quote=True)
-    return f'<img src="{asset.data_uri()}" alt="{alt}">'
+    return _around_data_uri('<img src="', asset, f'" alt="{alt}">')
 
 
 def embed_video(asset: MediaAsset) -> str:
@@ -71,7 +80,7 @@ def embed_video(asset: MediaAsset) -> str:
         raise ValidationError(
             f"embed_video needs a video/* asset, got {asset.media_type!r}"
         )
-    return f'<video controls src="{asset.data_uri()}"></video>'
+    return _around_data_uri('<video controls src="', asset, '"></video>')
 
 
 def embed_raw_html(fragment: str) -> str:

@@ -16,6 +16,7 @@ that maintenance tooling can operate on mixed banks.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 
@@ -111,6 +112,7 @@ def escape_xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+@functools.lru_cache(maxsize=256)  # a bank repeats a few fractions in every question
 def format_fraction(value) -> str:
     """Grade percentage as emitted in fraction attributes: 5-decimal grid."""
     rounded = round(float(value), 5)
@@ -130,7 +132,7 @@ def serialize_bank(bank) -> bytes:
 
 
 def serialize_chunks(bank):
-    """Yield serialize_bank's document as UTF-8 chunks of about 1 MiB. Each is
+    """Yield serialize_bank's document as UTF-8 chunks (fileio.utf8_chunks). Each is
     scanned first, so the QuizbankError may follow good chunks."""
 
     def check(text, data):
@@ -156,9 +158,16 @@ def parse_bank(data) -> QuestionBank:
         data = data.encode("utf-8")
     if isinstance(data, (bytes, bytearray)):
         try:
-            return _parse_own_layout(data)
-        except ValueError:
-            pass  # not the writer's layout byte for byte: ElementTree reads it
+            text = data.decode("utf-8")
+            own_layout = _xml_legal(text, data) and text.startswith(_DOCUMENT[0])
+        except UnicodeDecodeError:
+            own_layout = False
+        if own_layout:
+            del data  # frees the bytes of a temporary argument (CPython 3.11+) while parsing
+            try:
+                return _parse_own_layout(text)
+            except ValueError:  # not the writer's layout byte for byte: ElementTree reads it
+                data = text.encode("utf-8")  # the input's bytes: strict decoding succeeded
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
     try:
@@ -243,15 +252,18 @@ def _emit_question(parts, question) -> None:
 
 def _xml_legal(text: str, data) -> bool:
     """Whether text, encoded as data, holds only characters XML can carry.
-    One pass over the bytes finds C0 controls; U+FFFE/U+FFFF are sought in
-    the str, where the search is free unless it holds such wide characters.
+    One pass over 64 KiB slices of the bytes, each deleting all legal bytes
+    into a small scratch result, finds C0 controls; U+FFFE/U+FFFF are sought
+    in the str, where the search is free unless it holds such wide characters.
     """
-    return not data.translate(None, _LEGAL_BYTES) and not ("\ufffe" in text or "\uffff" in text)
+    slices = (data[start:start + 65536] for start in range(0, len(data), 65536))
+    controls = any(piece.translate(None, _LEGAL_BYTES) for piece in slices)
+    return not (controls or "\ufffe" in text or "\uffff" in text)
 
 
-def _unencodable_error(bank) -> QuizbankError:
+def _unencodable_error(bank, unencodable=_UNENCODABLE, target="XML") -> QuizbankError:
     """Name the first category or question, in document order, that holds
-    a character XML cannot encode."""
+    a character the target cannot encode (one the pattern unencodable finds)."""
     for index, question in enumerate(bank.questions, start=1):
         parts = []
         _emit_question(parts, question)
@@ -259,24 +271,21 @@ def _unencodable_error(bank) -> QuizbankError:
             (f"category {question.category!r}", question.category),
             (f"question {question.name or f'question #{index}'!r}", "".join(parts)),
         ):
-            found = re.search(_UNENCODABLE, text)
+            found = re.search(unencodable, text)
             if found:
                 what = "control character" if found[0] < " " else "character"
                 return QuizbankError(
-                    f"{owner} contains {what} {found[0]!r}, which XML cannot encode"
+                    f"{owner} contains {what} {found[0]!r}, which {target} cannot encode"
                 )
-    return QuizbankError("the bank holds a character XML cannot encode")
+    return QuizbankError(f"the bank holds a character {target} cannot encode")
 
 
 # -- parser ---------------------------------------------------------------
 
 
-def _parse_own_layout(data) -> QuestionBank:
-    """Read a document in serialize_bank's exact layout; raise ValueError at
-    the first byte that departs from it, so that ElementTree reads it instead."""
-    text = data.decode("utf-8")
-    if not (_xml_legal(text, data) and text.startswith(_DOCUMENT[0])):
-        raise ValueError("not the writer's layout")
+def _parse_own_layout(text: str) -> QuestionBank:
+    """Read a legal text that starts like serialize_bank's; raise ValueError at
+    the first character off its layout, so that ElementTree reads it instead."""
     # re caches compiled patterns, so only the first parse compiles these.
     read_category, read_head, read_short, read_numerical, read_choice, read_match = (
         re.compile(pattern).match for pattern in _READERS

@@ -62,8 +62,17 @@ def render_preview(bank, output_path, math="cdn"):
     Returns the output path.
     """
     output_path = Path(output_path)
-    atomic_write_chunks(output_path, utf8_chunks(_page_blocks(bank, math)))
+    atomic_write_chunks(output_path, _page_chunks(bank, math))
     return output_path
+
+
+def _page_chunks(bank, math):
+    try:  # only a lone surrogate fails: name the first question that holds one
+        yield from utf8_chunks(_page_blocks(bank, math))
+    except UnicodeEncodeError:
+        from .moodle_xml import _unencodable_error
+
+        raise _unencodable_error(bank, "[\ud800-\udfff]", "UTF-8") from None
 
 
 def temp_preview_file() -> Path:

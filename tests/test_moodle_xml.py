@@ -525,7 +525,7 @@ class TestReaderDifferential:
     @given(questions=st.lists(_question(), max_size=4))
     def test_writer_output(self, questions):
         data = _writer_output(questions)
-        direct = moodle_xml._parse_own_layout(data)  # must not fall back
+        direct = moodle_xml._parse_own_layout(data.decode("utf-8"))  # must not fall back
         expected = _reference_outcome(data)
         assert ([repr(q) for q in direct.questions], direct.category, []) == expected
         for form in (data, data.decode("utf-8"), bytearray(data)):

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from quizbank import render_preview
+from quizbank import QuizbankError, render_preview
+from quizbank import preview as preview_module
 from quizbank.preview import MATHJAX_CDN_URL, build_preview_html, open_preview
 
 
@@ -116,6 +117,37 @@ class TestRenderPreview:
         with pytest.raises(OSError) as err:
             render_preview(rich_bank, tmp_path / "nope" / "preview.html")
         assert "preview.html" in str(err.value)
+
+
+def _surrogate_bank(make_bank):
+    """A control character is fine in HTML; the lone surrogate after it is not."""
+    bank = make_bank()
+    bank.addShortAnswer("bell", "Ring \x07?", ["a"])
+    bank.addMultipleChoice("n", "Pick one", ["ok", "bad \udcff"])
+    return bank
+
+
+class TestUnencodablePage:
+    def test_render_preview_names_the_question(self, make_bank, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(QuizbankError, match=r"question 'n' contains character '\\udcff'"):
+            render_preview(_surrogate_bank(make_bank), out / "preview.html")
+        assert list(out.iterdir()) == []
+
+    def test_bank_method_names_the_question(self, make_bank, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def temp_preview_file():  # an empty file, as the real one makes
+            (out / "preview.html").touch()
+            return out / "preview.html"
+
+        monkeypatch.setattr(preview_module, "temp_preview_file", temp_preview_file)
+        with pytest.raises(QuizbankError, match="question 'n' contains"):
+            _surrogate_bank(make_bank).preview()
+        assert [path.name for path in out.iterdir()] == ["preview.html"]  # no .tmp sibling
+        assert (out / "preview.html").read_bytes() == b""
 
 
 class TestOpenPreview:

@@ -1,8 +1,13 @@
-"""Streamed writes: banks and previews go to disk in UTF-8 chunks of about
-1 MiB, byte for byte what serialize_bank and build_preview_html give, and a
-failure found in a late chunk leaves nothing behind."""
+"""Streamed writes: banks and previews go to disk in UTF-8 chunks of under
+CHUNK_CHARS characters, byte for byte what serialize_bank and
+build_preview_html give, and a failure found in a late chunk leaves nothing
+behind."""
 
+import base64
+import html
+import itertools
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,10 +26,11 @@ from quizbank import (
     QuestionKind,
     QuizbankError,
     embed_image,
+    embed_video,
     render_preview,
     serialize_bank,
 )
-from quizbank import fileio
+from quizbank import cli, fileio
 from quizbank.fileio import CHUNK_CHARS, atomic_write_chunks, utf8_chunks
 from quizbank.moodle_xml import serialize_chunks
 from quizbank.preview import build_preview_html
@@ -74,7 +80,7 @@ class TestStreamedOutput:
     @settings(max_examples=200, deadline=None)
     @given(
         blocks=st.lists(st.lists(st.text(st.sampled_from("ab\n<é€😀"), max_size=12))),
-        size=st.integers(1, 16),
+        size=st.integers(2, 16),  # a limit of 1 character admits no non-empty chunk
     )
     def test_chunks_end_between_pieces(self, blocks, size):
         pieces = [piece for block in blocks for piece in block]
@@ -82,9 +88,13 @@ class TestStreamedOutput:
             chunks = list(utf8_chunks(blocks))
         assert b"".join(chunks) == "".join(pieces).encode("utf-8")
         texts = [chunk.decode("utf-8") for chunk in chunks]  # none splits a character
+        assert all(len(text) < size for text in texts)
+        ends = set(itertools.accumulate(map(len, texts), initial=0))
+        start = 0
         for piece in pieces:
-            if len(piece) >= size:
-                assert piece in texts  # encoded on its own, never joined
+            if len(piece) >= size:  # sliced into consecutive chunks of its own
+                assert {start, start + len(piece)} <= ends
+            start += len(piece)
 
     def test_check_sees_every_chunk(self):
         blocks = [["a" * 5, "b"], ["c" * 9], ["d"]]
@@ -92,10 +102,10 @@ class TestStreamedOutput:
         with mock.patch.object(fileio, "CHUNK_CHARS", 4):
             chunks = list(utf8_chunks(blocks, lambda text, data: seen.append((text, data))))
         assert [data for _, data in seen] == chunks
-        assert [text for text, _ in seen] == ["a" * 5, "b", "c" * 9, "d"]
+        assert [text for text, _ in seen] == ["aaa", "aa", "b", "ccc", "ccc", "ccc", "d"]
 
 
-# Rejected by XML in a question that follows more than 1 MiB of good document.
+# Rejected by XML in a question that follows more than a chunk of good document.
 _LATE_BAD = ["\x07", "\ufffe", "\udcff"]
 
 
@@ -156,3 +166,62 @@ class TestMemory:
             peaks.append(_traced_peak(lambda: atomic_write_chunks(path, serialize_chunks(bank))))
             assert path.stat().st_size > count * 10_000_000
         assert peaks[1] - peaks[0] < 1 << 20
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before CPython 3.11 the caller's frame keeps a temporary argument alive, "
+        "so parse_bank cannot free the file's bytes while it parses",
+    )
+    def test_stats_holds_the_text_and_fields_not_the_bytes(self, tmp_path, capsys):
+        path = tmp_path / "bank.xml"
+        atomic_write_chunks(path, serialize_chunks(_media_bank(3)))
+        size = path.stat().st_size
+        assert size > 30_000_000
+        peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
+        assert "questions: 3" in capsys.readouterr().out
+        assert peak < 2 * size + (1 << 20)
+
+    def test_streamed_write_of_a_large_field_holds_one_chunk(self, tmp_path):
+        """The bank's texts exist before tracing starts, so the peak is what
+        the write adds to them: one chunk and its scans, never the field."""
+        bank = _media_bank(1)
+        assert len(bank.questions[0].stem) >= 10_000_000
+        path = tmp_path / "bank.xml"
+        peak = _traced_peak(lambda: atomic_write_chunks(path, serialize_chunks(bank)))
+        assert path.read_bytes() == serialize_bank(bank)
+        assert peak < 3 << 20
+
+
+def _old_fragment(asset, tag):
+    """embed_image and embed_video as f-strings around MediaAsset.data_uri."""
+    uri = f"data:{asset.media_type};base64,{base64.b64encode(asset.data).decode('ascii')}"
+    if tag == "video":
+        return f'<video controls src="{uri}"></video>'
+    alt = html.escape(asset.alt_text or "", quote=True)
+    return f'<img src="{uri}" alt="{alt}">'
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize(
+        "media_type, alt",
+        [("image/png", None), ("image/png", 'a "dot" <b>'), ("image/svg+xml", "é ✓ 😀"),
+         ("image/gif", "odd \udcff"), ("video/mp4", None)],
+    )
+    def test_fragments_equal_the_f_string_form(self, media_type, alt):
+        asset = MediaAsset(random.Random(1).randbytes(1000), media_type, alt)
+        tag = media_type.partition("/")[0]
+        embed = embed_video if tag == "video" else embed_image
+        assert embed(asset) == _old_fragment(asset, tag)
+        assert asset.data_uri() in embed(asset)
+
+    @pytest.mark.parametrize(
+        "embed, media_type, alt",
+        [(embed_image, "image/png", None), (embed_image, "image/png", "é"),
+         (embed_video, "video/mp4", None)],
+    )
+    def test_at_most_two_full_size_copies(self, embed, media_type, alt):
+        embed(MediaAsset(b"x", media_type, alt))  # imports what embedding needs
+        asset = MediaAsset(random.Random(2).randbytes(6_000_000), media_type, alt)
+        lengths = []
+        peak = _traced_peak(lambda: lengths.append(len(embed(asset))))
+        assert peak < 2 * lengths[0] + (1 << 16)
