@@ -36,13 +36,12 @@ def replace_text(bank, old: str, new: str) -> int:
         raise ValidationError("the text to replace must be a non-empty string")
 
     def substitute(texts):
-        edited = [text.replace(old, new) for text in texts]
-        if len(new) == len(old):
-            return edited, sum([text.count(old) for text in texts])
-        # Each replacement changes the length by the same amount: no second scan counts them.
-        return edited, (sum(map(len, edited)) - sum(map(len, texts))) // (len(new) - len(old))
+        count = 0
+        for text in texts:
+            count += text.count(old)
+        return ([text.replace(old, new) for text in texts] if count else texts), count
 
-    return _apply(bank, substitute, lambda text: old in text)
+    return _apply(bank, substitute)
 
 
 def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
@@ -60,7 +59,7 @@ def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
         results = [compiled.subn(replacement, text) for text in texts]
         return [text for text, _ in results], sum([count for _, count in results])
 
-    return _apply(bank, substitute, compiled.search)
+    return _apply(bank, substitute)
 
 
 def set_wrong_penalty(bank, fraction) -> int:
@@ -87,15 +86,13 @@ def set_wrong_penalty(bank, fraction) -> int:
     return touched
 
 
-def _apply(bank, substitute, found) -> int:
-    """Substitute the texts of each question where found(text) holds for one
-    of them, in place, and check every question that changes; on a violation,
-    undo all edits and raise ValidationError naming the question."""
+def _apply(bank, substitute) -> int:
+    """Substitute each question's texts once, in place, and check every
+    question that changes; on a violation, undo all edits and raise
+    ValidationError naming the question."""
     total = 0
     edited = []  # (question, its texts before the edit)
     for index, question in enumerate(bank.questions, start=1):
-        if not _found_in(question, found):  # a question without a match gets no text list
-            continue
         texts = _texts(question)
         new_texts, count = substitute(texts)
         total += count
@@ -109,18 +106,6 @@ def _apply(bank, substitute, found) -> int:
                     _set_texts(done, before)
                 raise ValidationError(f"question {index} ({question.name!r}): {exc}") from None
     return total
-
-
-def _found_in(question, found) -> bool:
-    """Whether found(text) holds for one of _texts(question), without building that list."""
-    payload = question.payload
-    if found(question.name) or found(question.stem):
-        return True
-    if isinstance(payload, ChoiceSet):
-        return any([found(choice.text) for choice in payload.choices])
-    if isinstance(payload, MatchPairList):
-        return any([found(prompt) or found(match) for prompt, match in payload.pairs])
-    return isinstance(payload, ShortAnswerSet) and any(map(found, payload.answers))
 
 
 def _texts(question) -> list[str]:

@@ -159,15 +159,16 @@ def parse_bank(data) -> QuestionBank:
     if isinstance(data, (bytes, bytearray)):
         try:
             text = data.decode("utf-8")
-            own_layout = _xml_legal(text, data) and text.startswith(_DOCUMENT[0])
         except UnicodeDecodeError:
-            own_layout = False
-        if own_layout:
+            text = ""
+        if text.startswith(_DOCUMENT[0]) and _xml_legal(text, data):
             del data  # frees the bytes of a temporary argument (CPython 3.11+) while parsing
             try:
                 return _parse_own_layout(text)
-            except ValueError:  # not the writer's layout byte for byte: ElementTree reads it
-                data = text.encode("utf-8")  # the input's bytes: strict decoding succeeded
+            except ValueError:
+                pass  # not the writer's layout byte for byte: ElementTree reads it
+            data = text.encode("utf-8")  # the input's bytes: strict decoding succeeded
+        text = None  # ElementTree needs only the bytes
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
     try:

@@ -120,8 +120,9 @@ def _page_blocks(bank, math):
         *_math_script(math),
         "</head>\n<body>\n<main>",
     ]
-    source = escape(str(bank.output_path)) if bank.output_path else "unsaved bank"
-    head.append(f"<h1>Question bank preview &mdash; {source}</h1>")
+    # A path from argv holds a lone surrogate for each undecodable byte: shown as "?".
+    source = str(bank.output_path).encode(errors="replace").decode() if bank.output_path else ""
+    head.append(f"<h1>Question bank preview &mdash; {escape(source or 'unsaved bank')}</h1>")
     if not bank.questions:
         head.append('<p class="empty-notice">This bank contains no questions.</p>')
     yield ["\n".join(head) + "\n"]

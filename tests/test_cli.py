@@ -471,6 +471,18 @@ class TestFailureMessages:
         assert bank_file.read_bytes() == before
         assert [p.name for p in bank_file.parent.iterdir()] == [bank_file.name]
 
+    def test_undecodable_bank_path_byte_is_shown_replaced(self, bank_file):
+        # The path, not the bank, holds the lone surrogate: the page shows "?".
+        os.rename(bank_file, os.path.join(os.fsencode(bank_file.parent), b"b\xff.xml"))
+        env = {**_SUBPROCESS_ENV, "PYTHONUTF8": "1"}
+        result = subprocess.run(
+            [sys.executable, "-m", "quizbank.cli", "preview", b"b\xff.xml", "--out", "p.html"],
+            cwd=bank_file.parent, env=env, capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        page = (bank_file.parent / "p.html").read_text(encoding="utf-8")
+        assert "Question bank preview &mdash; b?.xml</h1>" in page
+
 
 # Modules only some commands need; importing quizbank.cli must not load them.
 _ON_USE_MODULES = {
@@ -526,7 +538,8 @@ class TestStartup:
             "from quizbank.media import data_uri_payload_bytes\n"
             "parse_bank(serialize_bank(QuestionBank(None)))\n"
             "assert data_uri_payload_bytes('data:image/png;base64,AAAA') == 3\n"
-            "print(json.dumps([at_import, compiled[len(at_import):]]))\n"
+            # repr: some stdlib imports compile bytes patterns (glob, from pathlib on 3.13).
+            "print(json.dumps([[repr(p) for p in ps] for ps in (at_import, compiled[len(at_import):])]))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=_SUBPROCESS_ENV,

@@ -151,6 +151,13 @@ def _traced_peak(function):
         tracemalloc.stop()
 
 
+_FREES_TEMPORARY_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's frame keeps a temporary argument alive, "
+    "so parse_bank cannot free the file's bytes while it parses",
+)
+
+
 class TestMemory:
     def test_serialize_bank_peaks_below_twice_its_output(self):
         bank = _media_bank(3)
@@ -167,11 +174,7 @@ class TestMemory:
             assert path.stat().st_size > count * 10_000_000
         assert peaks[1] - peaks[0] < 1 << 20
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="before CPython 3.11 the caller's frame keeps a temporary argument alive, "
-        "so parse_bank cannot free the file's bytes while it parses",
-    )
+    @_FREES_TEMPORARY_ARGUMENTS
     def test_stats_holds_the_text_and_fields_not_the_bytes(self, tmp_path, capsys):
         path = tmp_path / "bank.xml"
         atomic_write_chunks(path, serialize_chunks(_media_bank(3)))
@@ -180,6 +183,22 @@ class TestMemory:
         peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
         assert "questions: 3" in capsys.readouterr().out
         assert peak < 2 * size + (1 << 20)
+
+    @_FREES_TEMPORARY_ARGUMENTS
+    @pytest.mark.parametrize("before", [b"<quiz>", b"</quiz>"])
+    def test_stats_of_a_foreign_layout_does_not_keep_the_text(self, tmp_path, capsys, before):
+        """A comment at the start fails the layout check, one at the end fails
+        the direct reader midway: either way ElementTree holds the bytes and
+        two copies of each field (expat's pieces and their join), and the
+        decoded text is freed before it runs."""
+        path = tmp_path / "bank.xml"
+        data = serialize_bank(_media_bank(3)).replace(before, b"<!-- edited -->" + before, 1)
+        path.write_bytes(data)
+        size = len(data)
+        del data
+        peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
+        assert "questions: 3" in capsys.readouterr().out
+        assert peak < 3 * size + (4 << 20)
 
     def test_streamed_write_of_a_large_field_holds_one_chunk(self, tmp_path):
         """The bank's texts exist before tracing starts, so the peak is what
