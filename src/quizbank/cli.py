@@ -21,7 +21,7 @@ from .fileio import atomic_write_bytes, atomic_write_chunks, timestamped_backup 
 from .maintenance import replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
 from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
-from .preview import render_preview, temp_preview_file
+from .preview import render_preview, render_temp_preview
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,7 +201,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preview(args) -> int:
     bank = _load_bank(args.bank)
-    print(render_preview(bank, temp_preview_file() if args.out is None else args.out))
+    print(render_temp_preview(bank) if args.out is None else render_preview(bank, args.out))
     return EXIT_OK
 
 

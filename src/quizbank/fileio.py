@@ -8,6 +8,9 @@ untouched and raises an OSError that names the target.
 
 Documents stream into the temporary file as UTF-8 chunks (utf8_chunks), so
 a write holds the document's texts plus one chunk, not the whole document.
+A chunk that does not encode, or that the writer's ``legal`` check rejects,
+ends the stream with the writer's own error, ``fail()``, in place of the
+UnicodeEncodeError; the temporary file is then removed like on any failure.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ def atomic_write_chunks(path: Path, chunks, before_replace=None) -> None:
     _replace_via_temp(Path(path), fill)
 
 
-def utf8_chunks(blocks, check=None):
+def utf8_chunks(blocks, fail, legal=None):
     """Encode the str pieces of ``blocks`` (lists of str) as UTF-8 chunks of
-    under CHUNK_CHARS characters, each passed to ``check(text, data)`` if
-    given. A longer piece is sliced into consecutive chunks of its own."""
+    under CHUNK_CHARS characters. A longer piece is sliced into consecutive
+    chunks of its own. Raise ``fail()`` for a chunk that does not encode or
+    that ``legal(text, data)``, if given, rejects."""
     size, batch, length = CHUNK_CHARS, [], 0
     for block in blocks:
         block_length = sum(map(len, block))
@@ -57,23 +61,26 @@ def utf8_chunks(blocks, check=None):
             continue
         for piece in block:
             if batch and length + len(piece) >= size:
-                yield _encoded(batch, check)
+                yield _encoded(batch, fail, legal)
                 batch, length = [], 0
             if len(piece) >= size:
                 for start in range(0, len(piece), size - 1):
-                    yield _encoded([piece[start:start + size - 1]], check)
+                    yield _encoded([piece[start:start + size - 1]], fail, legal)
                 continue
             batch.append(piece)
             length += len(piece)
     if batch:
-        yield _encoded(batch, check)
+        yield _encoded(batch, fail, legal)
 
 
-def _encoded(pieces, check) -> bytes:
+def _encoded(pieces, fail, legal) -> bytes:
     text = "".join(pieces)  # one piece is returned as it is, uncopied
-    data = text.encode("utf-8")
-    if check is not None:
-        check(text, data)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise fail() from None
+    if legal is not None and not legal(text, data):
+        raise fail()
     return data
 
 

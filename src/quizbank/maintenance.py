@@ -20,6 +20,7 @@ from .model import (
     QuestionKind,
     ShortAnswerSet,
     check_question,
+    question_texts,
     require_finite_number,
 )
 
@@ -93,7 +94,7 @@ def _apply(bank, substitute) -> int:
     total = 0
     edited = []  # (question, its texts before the edit)
     for index, question in enumerate(bank.questions, start=1):
-        texts = _texts(question)
+        texts = question_texts(question)
         new_texts, count = substitute(texts)
         total += count
         if count and new_texts != texts:
@@ -108,20 +109,8 @@ def _apply(bank, substitute) -> int:
     return total
 
 
-def _texts(question) -> list[str]:
-    """Name, stem, then the payload's texts; numerical values are not text."""
-    payload, rest = question.payload, []
-    if isinstance(payload, ChoiceSet):
-        rest = [choice.text for choice in payload.choices]
-    elif isinstance(payload, ShortAnswerSet):
-        rest = payload.answers
-    elif isinstance(payload, MatchPairList):
-        rest = [text for pair in payload.pairs for text in pair]
-    return [question.name, question.stem, *rest]
-
-
 def _set_texts(question, texts) -> None:
-    """Put ``texts``, in _texts order, back into ``question``."""
+    """Put ``texts``, in question_texts order, back into ``question``."""
     question.name, question.stem, *rest = texts
     payload = question.payload
     if isinstance(payload, ChoiceSet):

@@ -15,7 +15,7 @@ import re
 from .errors import ValidationError
 from .model import ChoiceSet, MatchPairList, Record
 
-_MEDIA_TYPE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*/[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*$")
+_MEDIA_TYPE_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*/[A-Za-z0-9][A-Za-z0-9!#$&^_.+-]*")
 
 
 class MediaAsset(Record):
@@ -31,7 +31,7 @@ class MediaAsset(Record):
             raise ValidationError(f"media data is not bytes-like: {type(data).__name__}") from None
         if empty:
             raise ValidationError("media asset has no content")
-        if not isinstance(media_type, str) or not _MEDIA_TYPE_RE.match(media_type):
+        if not isinstance(media_type, str) or not _MEDIA_TYPE_RE.fullmatch(media_type):
             raise ValidationError(f"media type {media_type!r} is not a valid type/subtype string")
         if alt_text is not None and not isinstance(alt_text, str):
             raise ValidationError(f"alt text must be a string or None, got {alt_text!r}")

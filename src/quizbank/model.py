@@ -2,7 +2,8 @@
 
 Everything downstream (generation, XML output, previews, bulk edits) works
 on these plain records, so the question invariants (check_question), duplicate
-checks and deterministic rendering rules all live here.
+checks, the list of a question's text fields (question_texts) and deterministic
+rendering rules all live here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numbers
 import re
 from enum import Enum
 
-from .errors import DuplicateTextError, ValidationError
+from .errors import DuplicateTextError, QuizbankError, ValidationError
 
 
 class QuestionKind(str, Enum):
@@ -106,6 +107,33 @@ class Question(Record):
         self.stem = stem
         self.payload = payload  # a ChoiceSet, ShortAnswerSet, NumericalAnswerSet or MatchPairList
         self.category = category
+
+
+def question_texts(question: Question) -> list[str]:
+    """Name, stem, then the payload's texts; numerical values are not text."""
+    payload, rest = question.payload, []
+    if isinstance(payload, ChoiceSet):
+        rest = [choice.text for choice in payload.choices]
+    elif isinstance(payload, ShortAnswerSet):
+        rest = payload.answers
+    elif isinstance(payload, MatchPairList):
+        rest = [text for pair in payload.pairs for text in pair]
+    return [question.name, question.stem, *rest]
+
+
+def unencodable_error(bank, pattern: str, target: str) -> QuizbankError:
+    """Name the first category or question, in document order, that holds a
+    character the target cannot encode (one the regular expression pattern finds)."""
+    for index, question in enumerate(bank.questions, start=1):
+        name = question.name or f"question #{index}"
+        owned = [(f"question {name!r}", text) for text in question_texts(question)]
+        for owner, text in [(f"category {question.category!r}", question.category), *owned]:
+            if found := re.search(pattern, text):
+                what = "control character" if found[0] < " " else "character"
+                return QuizbankError(
+                    f"{owner} contains {what} {found[0]!r}, which {target} cannot encode"
+                )
+    return QuizbankError(f"the bank holds a character {target} cannot encode")
 
 
 def render_text(value) -> str:

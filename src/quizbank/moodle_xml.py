@@ -21,7 +21,7 @@ import io
 import re
 
 from .bank import QuestionBank
-from .errors import BankParseError, QuizbankError
+from .errors import BankParseError
 from .fileio import utf8_chunks
 from .model import (
     Choice,
@@ -33,6 +33,7 @@ from .model import (
     ShortAnswerSet,
     canonical_number,
     parse_number,
+    unencodable_error,
 )
 
 # Category markers use the course-relative form understood by Moodle 3.x
@@ -132,17 +133,10 @@ def serialize_bank(bank) -> bytes:
 
 
 def serialize_chunks(bank):
-    """Yield serialize_bank's document as UTF-8 chunks (fileio.utf8_chunks). Each is
+    """serialize_bank's document as UTF-8 chunks (fileio.utf8_chunks). Each is
     scanned first, so the QuizbankError may follow good chunks."""
-
-    def check(text, data):
-        if not _xml_legal(text, data):
-            raise _unencodable_error(bank)
-
-    try:
-        yield from utf8_chunks(_document_blocks(bank), check)
-    except UnicodeEncodeError:
-        raise _unencodable_error(bank) from None
+    fail = functools.partial(unencodable_error, bank, _UNENCODABLE, "XML")
+    return utf8_chunks(_document_blocks(bank), fail, _xml_legal)
 
 
 def parse_bank(data) -> QuestionBank:
@@ -154,8 +148,8 @@ def parse_bank(data) -> QuestionBank:
     leaves no partial bank behind, as does a number or fraction that does
     not parse, naming the question's position.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    if isinstance(data, str):  # a lone surrogate then fails to decode, and expat names it
+        data = data.encode("utf-8", "surrogatepass")
     if isinstance(data, (bytes, bytearray)):
         try:
             text = data.decode("utf-8")
@@ -260,25 +254,6 @@ def _xml_legal(text: str, data) -> bool:
     slices = (data[start:start + 65536] for start in range(0, len(data), 65536))
     controls = any(piece.translate(None, _LEGAL_BYTES) for piece in slices)
     return not (controls or "\ufffe" in text or "\uffff" in text)
-
-
-def _unencodable_error(bank, unencodable=_UNENCODABLE, target="XML") -> QuizbankError:
-    """Name the first category or question, in document order, that holds
-    a character the target cannot encode (one the pattern unencodable finds)."""
-    for index, question in enumerate(bank.questions, start=1):
-        parts = []
-        _emit_question(parts, question)
-        for owner, text in (
-            (f"category {question.category!r}", question.category),
-            (f"question {question.name or f'question #{index}'!r}", "".join(parts)),
-        ):
-            found = re.search(unencodable, text)
-            if found:
-                what = "control character" if found[0] < " " else "character"
-                return QuizbankError(
-                    f"{owner} contains {what} {found[0]!r}, which {target} cannot encode"
-                )
-    return QuizbankError(f"the bank holds a character {target} cannot encode")
 
 
 # -- parser ---------------------------------------------------------------

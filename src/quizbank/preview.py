@@ -14,12 +14,13 @@ offline previews, or None to drop math rendering.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from pathlib import Path
 
 from .fileio import atomic_write_chunks, utf8_chunks
-from .model import QuestionKind, canonical_number
+from .model import QuestionKind, canonical_number, unencodable_error
 
 _STYLE = """
 body { font-family: sans-serif; background: #f4f4f4; margin: 0; padding: 1em; }
@@ -62,24 +63,22 @@ def render_preview(bank, output_path, math="cdn"):
     Returns the output path.
     """
     output_path = Path(output_path)
-    atomic_write_chunks(output_path, _page_chunks(bank, math))
+    # Only a lone surrogate fails to encode: the error names its question.
+    fail = functools.partial(unencodable_error, bank, "[\ud800-\udfff]", "UTF-8")
+    atomic_write_chunks(output_path, utf8_chunks(_page_blocks(bank, math), fail))
     return output_path
 
 
-def _page_chunks(bank, math):
-    try:  # only a lone surrogate fails: name the first question that holds one
-        yield from utf8_chunks(_page_blocks(bank, math))
-    except UnicodeEncodeError:
-        from .moodle_xml import _unencodable_error
-
-        raise _unencodable_error(bank, "[\ud800-\udfff]", "UTF-8") from None
-
-
-def temp_preview_file() -> Path:
-    """Create a new, empty, owner-only ``quizbank-preview-*.html`` temp file."""
+def render_temp_preview(bank) -> Path:
+    """Render to a new, owner-only ``quizbank-preview-*.html`` temp file and
+    return its path; a failed render removes the file."""
     fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
     os.close(fd)
-    return Path(name)
+    try:
+        return render_preview(bank, name)
+    except BaseException:
+        Path(name).unlink(missing_ok=True)
+        raise
 
 
 def open_preview(bank):
@@ -91,7 +90,7 @@ def open_preview(bank):
     """
     import webbrowser  # here, not at the top: every CLI process would pay for it
 
-    path = render_preview(bank, temp_preview_file())
+    path = render_temp_preview(bank)
     try:
         opened = webbrowser.open(path.as_uri())
     except Exception:

@@ -21,7 +21,7 @@ class TestMediaAsset:
         with pytest.raises(ValidationError):
             MediaAsset(b"", "image/png")
 
-    @pytest.mark.parametrize("bad", ["png", "image/", "/png", "image png", ""])
+    @pytest.mark.parametrize("bad", ["png", "image/", "/png", "image png", "", "image/png\n"])
     def test_malformed_media_type_rejected(self, bad):
         with pytest.raises(ValidationError):
             MediaAsset(PNG_1PX, bad)

@@ -335,6 +335,12 @@ class TestParse:
         assert (question.name, question.stem) == ("second", "")
         assert question.payload.answers == ["a"]
 
+    def test_lone_surrogate_in_str_is_parse_error(self):
+        with pytest.raises(BankParseError) as err:
+            parse_bank("<quiz>\udcff</quiz>")
+        assert (err.value.line, err.value.column) == (1, 6)
+        assert "not well-formed" in str(err.value)
+
     def test_wrong_root_rejected(self):
         with pytest.raises(BankParseError):
             parse_bank("<quizzes></quizzes>")

@@ -1,11 +1,11 @@
 """Preview page conventions: instructor-facing answer leaks, ordering, search."""
 
 import re
+import tempfile
 
 import pytest
 
 from quizbank import QuizbankError, render_preview
-from quizbank import preview as preview_module
 from quizbank.preview import MATHJAX_CDN_URL, build_preview_html, open_preview
 
 
@@ -138,16 +138,10 @@ class TestUnencodablePage:
     def test_bank_method_names_the_question(self, make_bank, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
-
-        def temp_preview_file():  # an empty file, as the real one makes
-            (out / "preview.html").touch()
-            return out / "preview.html"
-
-        monkeypatch.setattr(preview_module, "temp_preview_file", temp_preview_file)
+        monkeypatch.setattr(tempfile, "tempdir", str(out))  # where mkstemp makes the page
         with pytest.raises(QuizbankError, match="question 'n' contains"):
             _surrogate_bank(make_bank).preview()
-        assert [path.name for path in out.iterdir()] == ["preview.html"]  # no .tmp sibling
-        assert (out / "preview.html").read_bytes() == b""
+        assert list(out.iterdir()) == []  # neither the page nor a .tmp sibling is left
 
 
 class TestOpenPreview:

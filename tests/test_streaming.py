@@ -85,7 +85,7 @@ class TestStreamedOutput:
     def test_chunks_end_between_pieces(self, blocks, size):
         pieces = [piece for block in blocks for piece in block]
         with mock.patch.object(fileio, "CHUNK_CHARS", size):
-            chunks = list(utf8_chunks(blocks))
+            chunks = list(utf8_chunks(blocks, AssertionError))
         assert b"".join(chunks) == "".join(pieces).encode("utf-8")
         texts = [chunk.decode("utf-8") for chunk in chunks]  # none splits a character
         assert all(len(text) < size for text in texts)
@@ -99,10 +99,29 @@ class TestStreamedOutput:
     def test_check_sees_every_chunk(self):
         blocks = [["a" * 5, "b"], ["c" * 9], ["d"]]
         seen = []
+
+        def legal(text, data):
+            seen.append((text, data))
+            return True
+
         with mock.patch.object(fileio, "CHUNK_CHARS", 4):
-            chunks = list(utf8_chunks(blocks, lambda text, data: seen.append((text, data))))
+            chunks = list(utf8_chunks(blocks, AssertionError, legal))
         assert [data for _, data in seen] == chunks
         assert [text for text, _ in seen] == ["aaa", "aa", "b", "ccc", "ccc", "ccc", "d"]
+
+    @pytest.mark.parametrize("blocks, legal", [
+        ([["ok"], ["x\udcff"]], None),
+        ([["ok"], ["x\x07"]], lambda text, data: "\x07" not in text),
+    ], ids=["unencodable", "rejected"])
+    def test_fail_replaces_the_encode_error(self, blocks, legal):
+        class Failed(Exception):
+            pass
+
+        with mock.patch.object(fileio, "CHUNK_CHARS", 4):
+            chunks = utf8_chunks(blocks, Failed, legal)
+            assert next(chunks) == b"ok"
+            with pytest.raises(Failed):
+                next(chunks)
 
 
 # Rejected by XML in a question that follows more than a chunk of good document.
