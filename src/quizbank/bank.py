@@ -192,11 +192,20 @@ class QuestionBank:
         """Render the bank to a temporary HTML file and open a browser on it.
 
         If no browser can be launched the path is printed instead. Returns
-        the path of the rendered file.
+        the path of the rendered file, a new one on every call.
         """
-        from .preview import open_preview
+        import webbrowser  # here, not at the top: every CLI process would pay for it
 
-        return open_preview(self)
+        from .preview import render_temp_preview
+
+        path = render_temp_preview(self)
+        try:
+            opened = webbrowser.open(path.as_uri())
+        except Exception:
+            opened = False
+        if not opened:
+            print(f"Preview written to {path}")
+        return path
 
     def close(self) -> None:
         """Serialize the bank to its output path and freeze it.

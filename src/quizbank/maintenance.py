@@ -15,13 +15,11 @@ import re
 
 from .errors import ValidationError
 from .model import (
-    ChoiceSet,
-    MatchPairList,
     QuestionKind,
-    ShortAnswerSet,
     check_question,
     question_texts,
     require_finite_number,
+    set_question_texts,
 )
 
 
@@ -99,24 +97,12 @@ def _apply(bank, substitute) -> int:
         total += count
         if count and new_texts != texts:
             edited.append((question, texts))
-            _set_texts(question, new_texts)
+            set_question_texts(question, new_texts)
             try:
                 check_question(question)
             except ValidationError as exc:
                 for done, before in edited:
-                    _set_texts(done, before)
+                    set_question_texts(done, before)
                 raise ValidationError(f"question {index} ({question.name!r}): {exc}") from None
     return total
 
-
-def _set_texts(question, texts) -> None:
-    """Put ``texts``, in question_texts order, back into ``question``."""
-    question.name, question.stem, *rest = texts
-    payload = question.payload
-    if isinstance(payload, ChoiceSet):
-        for choice, text in zip(payload.choices, rest):
-            choice.text = text
-    elif isinstance(payload, ShortAnswerSet):
-        payload.answers[:] = rest
-    elif isinstance(payload, MatchPairList):
-        payload.pairs[:] = zip(rest[::2], rest[1::2])

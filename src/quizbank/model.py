@@ -2,8 +2,8 @@
 
 Everything downstream (generation, XML output, previews, bulk edits) works
 on these plain records, so the question invariants (check_question), duplicate
-checks, the list of a question's text fields (question_texts) and deterministic
-rendering rules all live here.
+checks, a question's text fields (question_texts, set_question_texts) and
+deterministic rendering rules all live here.
 """
 
 from __future__ import annotations
@@ -121,6 +121,19 @@ def question_texts(question: Question) -> list[str]:
     return [question.name, question.stem, *rest]
 
 
+def set_question_texts(question: Question, texts) -> None:
+    """Inverse of question_texts: put ``texts``, in its order, back into ``question``."""
+    question.name, question.stem, *rest = texts
+    payload = question.payload
+    if isinstance(payload, ChoiceSet):
+        for choice, text in zip(payload.choices, rest):
+            choice.text = text
+    elif isinstance(payload, ShortAnswerSet):
+        payload.answers[:] = rest
+    elif isinstance(payload, MatchPairList):
+        payload.pairs[:] = zip(rest[::2], rest[1::2])
+
+
 def unencodable_error(bank, pattern: str, target: str) -> QuizbankError:
     """Name the first category or question, in document order, that holds a
     character the target cannot encode (one the regular expression pattern finds)."""
@@ -136,14 +149,28 @@ def unencodable_error(bank, pattern: str, target: str) -> QuizbankError:
     return QuizbankError(f"the bank holds a character {target} cannot encode")
 
 
-def render_text(value) -> str:
+_CONTAINERS = frozenset({tuple, list})  # cheaper to test than a (tuple, list) built per call
+
+
+def render_text(value, _enclosing=()) -> str:
     """Canonical text of a choice/answer/key/name value: ``str(value)``
     with every ``\\r\\n`` and ``\\r`` turned into ``\\n``.
 
     XML parsers turn both line breaks into LF, so every duplicate and
     capacity check compares texts in this form, and the output round-trips
-    byte for byte. Built-in floats print their shortest round-trip form.
+    byte for byte. Built-in floats print their shortest round-trip form. A
+    tuple or list prints as str() shows it, but with its items other than
+    str, tuple and list in their str() form, so ``(numpy.float64(0.5), 1)``
+    reads ``(0.5, 1)``.
     """
+    if type(value) in _CONTAINERS:  # the scalar path's one test
+        if id(value) in _enclosing:  # inside itself: as str() shows it
+            return "[...]" if type(value) is list else "(...)"
+        inner, shown = (*_enclosing, id(value)), []
+        for item in value:  # a loop: before 3.12, a comprehension costs every call a cell
+            shown.append(repr(item) if isinstance(item, str) else render_text(item, inner))
+        shown = ", ".join(shown) + ("," if type(value) is tuple and len(value) == 1 else "")
+        value = f"[{shown}]" if type(value) is list else f"({shown})"
     return str(value).replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -160,9 +160,9 @@ def parse_bank(data) -> QuestionBank:
             try:
                 return _parse_own_layout(text)
             except ValueError:
-                pass  # not the writer's layout byte for byte: ElementTree reads it
-            data = text.encode("utf-8")  # the input's bytes: strict decoding succeeded
-        text = None  # ElementTree needs only the bytes
+                # Not the writer's layout byte for byte: ElementTree reads the text.
+                data = text  # decoded strictly and declared UTF-8: expat sees the same bytes
+        text = None  # ElementTree needs only data
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
     try:
@@ -180,7 +180,6 @@ def parse_bank(data) -> QuestionBank:
         raise BankParseError(f"expected <quiz> root element, found <{root.tag}>")
 
     bank = QuestionBank(output_path=None)
-    current_category = ""
     number = 0
     for element in root:
         if element.tag != "question":
@@ -188,20 +187,20 @@ def parse_bank(data) -> QuestionBank:
             continue
         qtype = element.get("type", "")
         if qtype == "category":
-            current_category = _category_path(element.findtext("category/text") or "")
+            bank.category = _category_path(element.findtext("category/text") or "")
             continue
         number += 1
         if qtype not in _KINDS:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
+        name = element.findtext("name/text") or ""
         try:
-            question = _parse_question(element, qtype, bank)
+            payload = _parse_payload(element, qtype, name, bank)
         except ValueError as exc:
             raise BankParseError(f"question #{number}: {exc}") from exc
-        if question is not None:
-            question.category = current_category
-            bank.questions.append(question)
-    bank.category = current_category
+        if payload is not None:
+            stem = element.findtext("questiontext/text") or ""
+            bank.questions.append(Question(_KINDS[qtype], name, stem, payload, bank.category))
     return bank
 
 
@@ -358,13 +357,11 @@ def _category_path(marker: str) -> str:
     return "/".join(segment for segment in raw.split("/") if segment)
 
 
-def _parse_question(element, qtype, bank):
-    name = element.findtext("name/text") or ""
-    stem = element.findtext("questiontext/text") or ""
+def _parse_payload(element, qtype, name, bank):
+    """A supported foreign question's payload; None for a skipped multi-select one."""
     answers = element.findall("answer")
     if qtype == QuestionKind.SHORT_ANSWER.value:
-        answers = [ans.findtext("text") or "" for ans in answers]
-        return Question(QuestionKind.SHORT_ANSWER, name, stem, ShortAnswerSet(answers))
+        return ShortAnswerSet([ans.findtext("text") or "" for ans in answers])
     if qtype == QuestionKind.NUMERICAL.value:
         values = []
         tolerance = 0.0
@@ -380,7 +377,7 @@ def _parse_question(element, qtype, bank):
                         f"question {name!r}: answers carry differing tolerances; "
                         f"keeping {tolerance}"
                     )
-        return Question(QuestionKind.NUMERICAL, name, stem, NumericalAnswerSet(values, tolerance))
+        return NumericalAnswerSet(values, tolerance)
     if qtype == QuestionKind.MULTIPLE_CHOICE.value:
         single = (element.findtext("single") or "true").strip().lower()
         if single in ("false", "0"):
@@ -389,14 +386,12 @@ def _parse_question(element, qtype, bank):
                 "(only single-answer questions are supported)"
             )
             return None
-        choices = [
+        return ChoiceSet([
             Choice(ans.findtext("text") or "", float(ans.get("fraction", "0")))
             for ans in answers
-        ]
-        return Question(QuestionKind.MULTIPLE_CHOICE, name, stem, ChoiceSet(choices))
+        ])
     # Matching, the last of the supported types parse_bank lets through.
-    pairs = [
+    return MatchPairList([
         (sub.findtext("text") or "", sub.findtext("answer/text") or "")
         for sub in element.findall("subquestion")
-    ]
-    return Question(QuestionKind.MATCHING, name, stem, MatchPairList(pairs))
+    ])

@@ -81,25 +81,6 @@ def render_temp_preview(bank) -> Path:
         raise
 
 
-def open_preview(bank):
-    """Render to a fresh temporary file and ask the system browser to open it.
-
-    Every call uses a new file, so repeated previews never clobber each
-    other. When no browser can be launched, the path is printed instead.
-    Returns the path.
-    """
-    import webbrowser  # here, not at the top: every CLI process would pay for it
-
-    path = render_temp_preview(bank)
-    try:
-        opened = webbrowser.open(path.as_uri())
-    except Exception:
-        opened = False
-    if not opened:
-        print(f"Preview written to {path}")
-    return path
-
-
 def build_preview_html(bank, math="cdn") -> str:
     """The page render_preview writes, as one string."""
     return "".join([piece for block in _page_blocks(bank, math) for piece in block])

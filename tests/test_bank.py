@@ -16,6 +16,7 @@ from quizbank import (
     parse_bank,
     serialize_bank,
 )
+from quizbank.model import render_text
 
 
 class TestConstruction:
@@ -89,6 +90,8 @@ class TestShortAnswer:
         bank = make_bank()
         bank.addShortAnswer("", "Enter a 3-digit prime number:", primes)
         assert bank.questions[0].payload.answers == [str(p) for p in primes]
+        bank.addShortAnswer("", "Enter a prime:", {7, 13, 101})  # ordered by rendered text
+        assert bank.questions[1].payload.answers == ["101", "13", "7"]
 
     def test_duplicate_answers_rejected(self, make_bank):
         bank = make_bank()
@@ -166,6 +169,9 @@ class TestMultipleChoice:
         assert choices[0].text == "3"
         assert choices[0].fraction == 100
         assert [c.fraction for c in choices[1:]] == [-33.33333] * 3
+        with pytest.raises(ValidationError, match="ordered sequence"):  # a set has no first
+            bank.addMultipleChoice("", "Select one", {3, 2, 4, 5})
+        assert len(bank) == 1
 
     def test_two_choices_penalty_is_minus_100(self, make_bank):
         bank = make_bank()
@@ -278,6 +284,10 @@ class TestClose:
             bank.close()
         assert "out.xml" in str(err.value)
         assert not target.exists()
+        parsed = parse_bank(serialize_bank(bank))  # a parsed bank has no path
+        with pytest.raises(QuizbankError, match="bank has no output path; cannot close"):
+            parsed.close()
+        assert not parsed.closed
 
     def test_mutation_after_close_raises(self, make_bank):
         bank = make_bank()
@@ -337,6 +347,25 @@ class TestCanonicalText:
         assert [c.text for c in recovered.questions[0].payload.choices] == ["0.5", "0.25", "1"]
         assert recovered.questions[1].payload.answers == [0.1, 3]
         assert recovered.questions[1].payload.tolerance == 0.05
+
+    def test_container_items_print_with_str(self, make_bank):
+        # Items print with str(), except str items (repr's quotes) and tuple or
+        # list items (this same rule, at every depth).
+        assert render_text((Float64(0.5), 1)) == "(0.5, 1)"
+        assert render_text(("a", 2)) == "('a', 2)"
+        assert render_text((Fraction(1, 2),)) == "(1/2,)"
+        assert render_text([1, [Fraction(3, 4), ("b",)], None]) == "[1, [3/4, ('b',)], None]"
+        looped = [1]
+        looped.append(looped)
+        assert render_text(looped) == str(looped) == "[1, [...]]"
+        bank = make_bank()
+        bank.addMultipleChoice("", "q", [(Float64(0.5), 1), (0.5, 1), (1, 0), (0, 0)])
+        assert len(bank) == 0
+        assert bank.warnings == ["duplicated choice text '(0.5, 1)'; question '' not added"]
+        np = pytest.importorskip("numpy")
+        assert render_text((np.float64(0.5), 1)) == "(0.5, 1)"
+        bank.addMultipleChoice("", "q", [(np.float64(0.5), 1), (0.5, 1), (1, 0), (0, 0)])
+        assert len(bank) == 0 and len(bank.warnings) == 2
 
     def test_fraction_answers_and_tolerance(self, make_bank):
         bank = make_bank()

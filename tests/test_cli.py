@@ -64,13 +64,18 @@ class TestBuild:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert len(parse_bank(out_a.read_bytes()).questions) == 7
 
-    def test_seed_env_variable_is_default(self, build_script, tmp_path, monkeypatch):
+    def test_seed_env_variable_is_default(self, build_script, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QUIZBANK_SEED", "42")
         out_env = tmp_path / "env.xml"
         out_flag = tmp_path / "flag.xml"
         assert main(["build", str(build_script), "--out", str(out_env)]) == 0
         assert main(["build", str(build_script), "--seed", "42", "--out", str(out_flag)]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
+        monkeypatch.setenv("QUIZBANK_SEED", "4.2")
+        assert main(["build", str(build_script), "--out", str(tmp_path / "bad.xml")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: $QUIZBANK_SEED must be an integer, got '4.2'\n"
+        assert not (tmp_path / "bad.xml").exists()
 
     def test_unwritable_out_leaves_no_partial_file(self, build_script, tmp_path, capsys):
         target = tmp_path / "no-such-dir" / "out.xml"
@@ -84,6 +89,9 @@ class TestBuild:
         script.write_text("raise RuntimeError('boom')\n", encoding="utf-8")
         assert main(["build", str(script)]) == 2
         assert "boom" in capsys.readouterr().err
+        script.write_text("import sys\nsys.exit(3)\n", encoding="utf-8")
+        assert main(["build", str(script)]) == 2
+        assert capsys.readouterr().err == "error: script exited with status 3\n"
 
     def test_missing_script_is_usage_error(self, tmp_path):
         assert main(["build", str(tmp_path / "absent.py")]) == 1
@@ -157,7 +165,7 @@ class TestPreviewCommand:
 
 
 class TestMaintain:
-    def test_replace_text_in_place_with_backup(self, bank_file, capsys):
+    def test_replace_text_in_place_with_backup(self, bank_file, capsys, monkeypatch):
         before = bank_file.read_bytes()
         code = main(["maintain", str(bank_file), "replace-text", "Flux", "Radiant flux"])
         assert code == 0
@@ -173,6 +181,11 @@ class TestMaintain:
             if q.name == "units"
             for pair in q.payload.pairs
         )
+        monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")  # one second
+        for _ in range(2):
+            assert main(["maintain", str(bank_file), "set-penalty", "-20"]) == 0
+        stamped = sorted(path.name for path in bank_file.parent.glob("*20260101-000000*"))
+        assert stamped == ["fixture.xml.20260101-000000-1.bak", "fixture.xml.20260101-000000.bak"]
 
     def test_replace_text_to_out_keeps_original(self, bank_file, tmp_path, capsys):
         before = bank_file.read_bytes()
@@ -224,6 +237,20 @@ class TestMaintain:
         assert f"backup: {backup.name}" in capsys.readouterr().err
         assert backup.read_bytes() == before
         assert b'fraction="-20"' in bank_file.read_bytes()
+
+    def test_value_starting_with_dash_needs_double_dash(self, bank_file, capsys):
+        # argparse reads "-Flux" as an option unless "--" ends the options.
+        before = bank_file.read_bytes()
+        assert main(["maintain", str(bank_file), "replace-text", "Flux", "-Flux"]) == 1
+        err = capsys.readouterr().err
+        assert _error_lines(err) == ["error: the following arguments are required: new"]
+        assert err.count("\n") == 1
+        assert bank_file.read_bytes() == before
+        assert list(bank_file.parent.glob("*.bak")) == []
+        argv = ["maintain", str(bank_file), "replace-text", "--no-backup", "--", "Flux", "-Flux"]
+        assert main(argv) == 0
+        assert "replacements: 1" in capsys.readouterr().out
+        assert b"<text><![CDATA[-Flux]]></text>" in bank_file.read_bytes()
 
     def test_output_reparses_cleanly(self, bank_file, capsys):
         main(["maintain", str(bank_file), "replace-text", "Flux", "Radiant flux",

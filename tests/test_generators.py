@@ -216,6 +216,9 @@ class TestFromLists:
         bank = make_bank()
         with pytest.raises(ValidationError):
             bank.addMultipleChoiceFromLists("", "stem", ["a"], ["b", "c", "d"], -2)
+        with pytest.raises(ValidationError, match="question count must be an integer, got 1.0"):
+            bank.addMultipleChoiceFromLists("", "stem", ["a"], ["b", "c", "d"], 1.0)
+        assert len(bank) == 0
 
     def test_numeric_pool_items_are_rendered(self, make_bank):
         bank = make_bank(seed=5)
@@ -372,6 +375,11 @@ class TestCompleteCode:
         with pytest.raises(ValidationError) as err:
             bank.addCompleteCode("", "%s", "some text", ["absent"], ["a", "b", "c"])
         assert "absent" in str(err.value)
+        with pytest.raises(ValidationError, match="source text must be a non-empty string"):
+            bank.addCompleteCode("", "%s", "", ["a"], ["b", "c", "d"])
+        with pytest.raises(ValidationError, match="the token list is empty"):
+            bank.addCompleteCode("", "%s", "some text", [], ["a", "b", "c"])
+        assert len(bank) == 0
 
     def test_insufficient_distractors(self, make_bank):
         bank = make_bank()
@@ -405,6 +413,16 @@ class TestDeterminism:
             return [question_signature(q) for q in bank.questions]
 
         assert build(99) == build(99)
+        # Set-valued pools are ordered by rendered text, whatever their hash order.
+        from_sets = make_bank(seed=99)
+        from_sets.addMultipleChoiceFromLists(
+            "", "stem", set(SHADER_CORRECT), frozenset(SHADER_DISTRACTORS), 12
+        )
+        from_lists = make_bank(seed=99)
+        from_lists.addMultipleChoiceFromLists(
+            "", "stem", sorted(SHADER_CORRECT), sorted(SHADER_DISTRACTORS), 12
+        )
+        assert from_sets.questions == from_lists.questions
 
     def test_different_seeds_usually_differ(self, make_bank):
         def build(seed):

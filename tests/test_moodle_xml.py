@@ -286,6 +286,7 @@ class TestParse:
             "    <name><text>write</text></name>\n"
             '    <questiontext format="html"><text>Discuss.</text></questiontext>\n'
             "  </question>\n"
+            "  <comment>not a question</comment>\n"
             '  <question type="shortanswer">\n'
             "    <name><text>keep</text></name>\n"
             '    <questiontext format="html"><text>Q?</text></questiontext>\n'
@@ -296,6 +297,7 @@ class TestParse:
         bank = parse_bank(document)
         assert [q.name for q in bank.questions] == ["keep"]
         assert any("essay" in w for w in bank.warnings)
+        assert "ignoring unexpected element <comment>" in bank.warnings
 
     def test_multiselect_multichoice_skipped(self):
         document = (
@@ -357,6 +359,9 @@ class TestParse:
         bank.addShortAnswer("", "Q?", ["x"])
         recovered = parse_bank(serialize_bank(bank))
         assert recovered.questions[0].category == "A/B"
+        # A marker under another of the course's top categories keeps that name.
+        foreign = serialize_bank(bank).replace(b"$course$/top/A/B", b"$course$/Other/A/B")
+        assert parse_bank(foreign).questions[0].category == "Other/A/B"
 
     def test_latex_stems_survive(self, make_bank):
         bank = make_bank()
@@ -444,10 +449,15 @@ class TestOwnLayoutReader:
             lambda d: d.replace(b"<tolerance>0.01</tolerance>", b"<tolerance>1</tolerance>", 1),
             lambda d: b"\xef\xbb\xbf" + d,
             lambda d: d + b"<!-- trailing -->\n",
+            lambda d: d.replace(  # a hand-edited tail of the first matching pair
+                b"</text>\n      </answer>\n    </subquestion>",
+                b"</text></answer>\n    </subquestion>",
+                1,
+            ),
         ],
         ids=[
             "reindented", "crlf", "cr", "control", "quot", "char-ref", "cdata-sections",
-            "tolerances", "bom", "trailing",
+            "tolerances", "bom", "trailing", "matching-tail",
         ],
     )
     def test_other_layouts_read_by_elementtree(self, monkeypatch, change):

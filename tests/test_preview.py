@@ -6,7 +6,7 @@ import tempfile
 import pytest
 
 from quizbank import QuizbankError, render_preview
-from quizbank.preview import MATHJAX_CDN_URL, build_preview_html, open_preview
+from quizbank.preview import MATHJAX_CDN_URL, build_preview_html
 
 
 
@@ -150,10 +150,20 @@ class TestOpenPreview:
         bank = make_bank()
         for i in range(6):
             bank.addShortAnswer("", f"Q{i}?", [f"a{i}"])
-        path = open_preview(bank)
+        path = bank.preview()
         try:
             assert str(path) in capsys.readouterr().out
             assert len(question_blocks(path.read_text(encoding="utf-8"))) == 6
+        finally:
+            path.unlink()
+
+        def raising_open(url):
+            raise RuntimeError("no display")
+
+        monkeypatch.setattr("webbrowser.open", raising_open)  # a browser that raises
+        path = bank.preview()
+        try:
+            assert capsys.readouterr().out == f"Preview written to {path}\n"
         finally:
             path.unlink()
 
@@ -161,21 +171,11 @@ class TestOpenPreview:
         monkeypatch.setattr("webbrowser.open", lambda url: True)
         bank = make_bank()
         bank.addShortAnswer("", "Q?", ["a"])
-        first = open_preview(bank)
-        second = open_preview(bank)
+        first = bank.preview()
+        second = bank.preview()
         try:
             assert first != second
             assert first.exists() and second.exists()
         finally:
             first.unlink()
             second.unlink()
-
-    def test_bank_method_delegates(self, make_bank, monkeypatch):
-        monkeypatch.setattr("webbrowser.open", lambda url: True)
-        bank = make_bank()
-        bank.addShortAnswer("", "Q?", ["a"])
-        path = bank.preview()
-        try:
-            assert path.exists()
-        finally:
-            path.unlink()
