@@ -92,17 +92,27 @@ def embed_raw_html(fragment: str) -> str:
 
 
 # Compiled on first use (re caches it): only stats scans for data URIs.
-_DATA_URI = r"data:[\w!#$&^.+-]+/[\w!#$&^.+-]+;base64,([A-Za-z0-9+/=]+)"
+_DATA_URI_HEAD = r"data:[\w!#$&^.+-]+/[\w!#$&^.+-]+;base64,"
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
 
 
 def data_uri_payload_bytes(text: str) -> int:
     """Total decoded size of every base64 data URI embedded in ``text``."""
     if ";base64," not in text:  # a C-speed search spares most texts the regex
         return 0
-    total = 0
-    for match in re.compile(_DATA_URI).finditer(text):
+    total = pos = 0
+    search = re.compile(_DATA_URI_HEAD).search
+    while match := search(text, pos):
+        # The payload ends at the first byte that deleting every base64 byte of
+        # a 64 KiB slice leaves; a non-ASCII character encodes as "?".
+        start = pos = match.end()
+        while piece := text[pos:pos + 65536].encode("ascii", "replace"):
+            rest = piece.translate(None, _BASE64)
+            pos += piece.index(rest[:1]) if rest else len(piece)
+            if rest:
+                break
         # Sized from the span and the padding, without copying the payload.
-        start, end = match.span(1)
+        end = pos
         while end > start and text[end - 1] == "=":
             end -= 1
         total += ((end - start) * 3) // 4

@@ -87,16 +87,21 @@ _SUBQUESTION = (
 )
 
 
-# A pair's CDATA prompt ends where its escaped match begins.
-_MATCH_CLOSE = _SUBQUESTION[1].partition("%s")[0]
-# The reader's patterns, compiled on first use (a build never reads a bank): an
-# attribute field reads [^"<>]*, so it cannot backtrack over its line; other
-# fields read [^<>]* (_unescape checks entities).
+# The reader's patterns, one per block, compiled on first use (a build never
+# reads a bank): an attribute field reads [^"<>]*, so it cannot backtrack over
+# its line; other fields read [^<>]* (_unescape checks entities). A CDATA body
+# reads up to the first end of its block, as str.find would, so _uncdata sees
+# any foreign "]]>": [^\]]* at C speed, then from a "]" on a lazy scan, which
+# keeps no state per character, as a group repeated once per "]" would.
+_CDATA_BODY = r"([^\]]*(?:\](?s:.)*?)??)"
 _READERS = [
-    re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
-    for piece in (_CATEGORY, _QUESTION[0], _SHORT_ANSWER, _NUMERICAL_ANSWER, _CHOICE[0],
-                  _SUBQUESTION[1][len(_MATCH_CLOSE):])
+    _CDATA_BODY.join(re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
+                     for piece in block)
+    for block in ((_CATEGORY,), _QUESTION[:1], (_SHORT_ANSWER,), (_NUMERICAL_ANSWER,), _CHOICE,
+                  _SUBQUESTION)
 ]
+# A bank repeats a few fractions in every question: each is converted once.
+_read_fraction = functools.lru_cache(maxsize=256)(float)
 
 
 def escape_for_cdata(text: str) -> str:
@@ -165,8 +170,11 @@ def parse_bank(data) -> QuestionBank:
         text = None  # ElementTree needs only data
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
+    parser = ET.XMLParser()
     try:
-        root = ET.fromstring(data)
+        for start in range(0, len(data), 65536):  # no full-size UTF-8 copy of a text in expat
+            parser.feed(data[start:start + 65536])
+        root = parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
         raise BankParseError(
@@ -266,6 +274,7 @@ def _parse_own_layout(text: str) -> QuestionBank:
         re.compile(pattern).match for pattern in _READERS
     )
     bank = QuestionBank(output_path=None)
+    append, category = bank.questions.append, ""
     pos = len(_DOCUMENT[0])
     while not text.startswith(_DOCUMENT[1], pos):
         head = read_head(text, pos)
@@ -273,78 +282,69 @@ def _parse_own_layout(text: str) -> QuestionBank:
             block = read_category(text, pos)
             if block is None:
                 raise ValueError("not the writer's layout")
-            bank.category = _category_path(_unescape(block[1]))
+            category = _category_path(_unescape(block[1]))
             pos = block.end()
             continue
-        kind = head[1]
-        stem, pos = _cdata(text, head.end(), _STEM_CLOSE[kind])
+        kind, name = head.groups()
+        close, start = _STEM_CLOSE[kind], head.end()
+        stop = text.index(close, start)  # a substring search: no stem meets the regex engine
+        stem, pos = _uncdata(text[start:stop]), stop + len(close)
         if kind == "shortanswer":
             answers = []
             while item := read_short(text, pos):
-                answers.append(_unescape(item[1]))
+                answers.append(_unescape(item[1]) if "&" in item[1] else item[1])
                 pos = item.end()
             payload = ShortAnswerSet(answers)
         elif kind == "numerical":
             values, tolerances = [], set()
             while item := read_numerical(text, pos):
-                values.append(parse_number(_unescape(item[1])))
+                values.append(parse_number(item[1]))  # refuses any entity
                 tolerances.add(item[2])
                 pos = item.end()
             if len(tolerances) > 1:  # ElementTree's path warns about these
                 raise ValueError("differing tolerances")
-            tolerance = parse_number(_unescape(tolerances.pop())) if tolerances else 0.0
+            tolerance = parse_number(tolerances.pop()) if tolerances else 0.0
             payload = NumericalAnswerSet(values, tolerance)
         elif kind == "multichoice":
             choices = []
             while item := read_choice(text, pos):
-                choice, pos = _cdata(text, item.end(), _CHOICE[1])
-                choices.append(Choice(choice, float(item[1])))
+                choices.append(Choice(_uncdata(item[2]), _read_fraction(item[1])))
+                pos = item.end()
             payload = ChoiceSet(choices)
         else:
             pairs = []
-            while text.startswith(_SUBQUESTION[0], pos):
-                prompt, pos = _cdata(text, pos + len(_SUBQUESTION[0]), _MATCH_CLOSE)
-                if (item := read_match(text, pos)) is None:
-                    raise ValueError("not the writer's layout")
-                pairs.append((prompt, _unescape(item[1])))
+            while item := read_match(text, pos):
+                match = _unescape(item[2]) if "&" in item[2] else item[2]
+                pairs.append((_uncdata(item[1]), match))
                 pos = item.end()
             payload = MatchPairList(pairs)
         if not text.startswith(_QUESTION_END, pos):
             raise ValueError("not the writer's layout")
         pos += len(_QUESTION_END)
-        question = Question(_KINDS[kind], _unescape(head[2]), stem, payload, bank.category)
-        bank.questions.append(question)
+        name = _unescape(name) if "&" in name else name
+        append(Question(_KINDS[kind], name, stem, payload, category))
     if pos + len(_DOCUMENT[1]) != len(text):
         raise ValueError("trailing data")
+    bank.category = category
     return bank
 
 
 def _unescape(raw: str) -> str:
     """Inverse of escape_xml_text; ValueError on any other entity."""
-    if "&" not in raw:
-        return raw
     if raw.count("&") != raw.count("&amp;") + raw.count("&lt;") + raw.count("&gt;"):
         raise ValueError("foreign entity")
     return raw.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
 
 
-def _cdata(text: str, start: int, close: str):
-    """Read the CDATA text from start up to close, its "]]></text>" and
-    the tags after it; return the text and the position after close.
-
-    escape_for_cdata's splits are undone. Any other "]]>", such as a
-    "]]></text>" before close, ends the section elsewhere: ValueError.
-    """
-    stop = text.find(close, start)
-    if stop < 0:
-        raise ValueError("unterminated CDATA")
-    raw = text[start:stop]
-    if "]]>" in raw:
-        parts = raw.split("]]]]><![CDATA[>")
-        if any("]]>" in part for part in parts):
-            raise ValueError("CDATA not split by the writer")
-        raw = "]]>".join(parts)
-    return raw, stop + len(close)
+def _uncdata(raw: str) -> str:
+    """Undo escape_for_cdata's splits in a CDATA text. Any other "]]>" ends
+    the section there, off the writer's layout: ValueError."""
+    if "]]>" not in raw:
+        return raw
+    parts = raw.split("]]]]><![CDATA[>")
+    if any("]]>" in part for part in parts):
+        raise ValueError("CDATA not split by the writer")
+    return "]]>".join(parts)
 
 
 def _category_path(marker: str) -> str:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from quizbank import moodle_xml, serialize_bank
+
 DEMO_DIR = Path(__file__).parent.parent / "demos"
 DEMO_SCRIPTS = sorted(DEMO_DIR.glob("*.py"))
 
@@ -28,6 +30,10 @@ def test_demo_runs(script, demo_copy, capsys):
     capsys.readouterr()
     outputs = list((demo_copy(script).parent / "output").glob("*.xml"))
     assert outputs, f"{script.name} produced no bank"
+    for output in outputs:
+        # Read by the direct reader, not ElementTree, and written back unchanged.
+        data = output.read_bytes()
+        assert serialize_bank(moodle_xml._parse_own_layout(data.decode("utf-8"))) == data
 
 
 def test_demos_exist():

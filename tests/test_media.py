@@ -4,6 +4,8 @@ import base64
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizbank import MediaAsset, ValidationError, embed_image, embed_raw_html, embed_video
 from quizbank.media import data_uri_payload_bytes, question_media_bytes
@@ -89,7 +91,43 @@ class TestEmbedRawHtml:
         assert blob in bank.questions[0].stem
 
 
+def _regex_payload_bytes(text):
+    """data_uri_payload_bytes as one regex over the whole text: the oracle."""
+    total = 0
+    for match in re.finditer(r"data:[\w!#$&^.+-]+/[\w!#$&^.+-]+;base64,([A-Za-z0-9+/=]+)", text):
+        start, end = match.span(1)
+        while end > start and text[end - 1] == "=":
+            end -= 1
+        total += ((end - start) * 3) // 4
+    return total
+
+
+# Headers (some malformed, some back to back), payload pieces, padding, text
+# around them, and runs that end on either side of a 64 KiB slice boundary.
+_MEDIA_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["data:image/png;base64,", "data:video/mp4;base64,", "data:a/b;base64,data:c/d;base64,"]
+            + ["data:image;base64,", "data:/png;base64,", ";base64,", "data:", "=", "==", "QQ=="]
+            + [" ", '"', "<", "\u00e9", "\u4e2d", "\U0001f600", "\udcff", "\n", "-", "_", ":"]
+        ),
+        st.text("ABCxyz019+/=", max_size=8),
+        st.builds(
+            str.__mul__,
+            st.sampled_from(["A", "=", "Qz", "a+/"]),
+            st.integers(21_840, 21_850) | st.integers(43_680, 43_700) | st.integers(65_530, 65_540),
+        ),
+    ),
+    max_size=12,
+).map("".join)
+
+
 class TestPayloadAccounting:
+    @settings(max_examples=600, deadline=None)
+    @given(text=_MEDIA_TEXT)
+    def test_sizes_as_the_whole_text_regex_does(self, text):
+        assert data_uri_payload_bytes(text) == _regex_payload_bytes(text)
+
     def test_data_uri_payload_bytes_is_exact(self):
         # 3, 4 and 5 bytes encode with no, two and one "=" of padding.
         for payload in (PNG_1PX, b"abc", b"abcd", b"abcde"):

@@ -1,6 +1,8 @@
 """Serialization dialect, CDATA handling, and round-trip guarantees."""
 
+import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -425,7 +427,7 @@ class TestOwnLayoutReader:
         def refuse(*args, **kwargs):
             raise AssertionError("ElementTree read a document in the writer's layout")
 
-        monkeypatch.setattr(ET, "fromstring", refuse)
+        monkeypatch.setattr(ET, "XMLParser", refuse)
         recovered = parse_bank(data)
         assert [repr(q) for q in recovered.questions] == [repr(q) for q in bank.questions]
         assert (recovered.category, recovered.warnings) == ("Topic", [])
@@ -435,6 +437,38 @@ class TestOwnLayoutReader:
             assert _outcome(form) == expected
         empty = parse_bank(serialize_bank(QuestionBank(None)))
         assert (empty.questions, empty.category) == ([], "")
+
+    def test_long_bracket_runs_read_directly(self, monkeypatch):
+        """A ~1 MiB choice text and a ~1 MiB matching prompt of "]", "]]" and
+        "]]>" runs: the direct reader takes them in time and memory linear in
+        the text (a body pattern that backtracks, or keeps state per "]",
+        would hang or blow up here), and ElementTree is never called."""
+        rng = random.Random(0)
+        choice, prompt = ("".join(rng.choices(["]", "]]", "]]>"], k=1 << 19)) for _ in "ab")
+        bank = QuestionBank(None)
+        bank.addMultipleChoice("choice", "Which?", [choice, "b"])
+        bank.addMatching("pairs", "Match", [(prompt, "x"), ("p", "y")])
+        data = serialize_bank(bank)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ElementTree read a document in the writer's layout")
+
+        monkeypatch.setattr(ET, "XMLParser", refuse)
+        text = data.decode("utf-8")
+        tracemalloc.start()
+        try:
+            recovered = moodle_xml._parse_own_layout(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(data)
+        assert serialize_bank(recovered) == data
+        assert serialize_bank(parse_bank(data)) == data
+        # A long choice whose end was hand-edited: the reader gives up in linear time.
+        bank.questions[0].payload.choices[0].text = "x" * (1 << 20) + "]"
+        edited = serialize_bank(bank).replace(b"]]></text>\n    </answer>", b"]]></text></answer>")
+        with pytest.raises(ValueError):
+            moodle_xml._parse_own_layout(edited.decode("utf-8"))
 
     @pytest.mark.parametrize(
         "change",
@@ -464,13 +498,13 @@ class TestOwnLayoutReader:
         data = change(serialize_bank(_every_feature_bank()))
         expected = _reference_outcome(data)
         calls = []
-        real = ET.fromstring
+        real = ET.XMLParser
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ET, "fromstring", counted)
+        monkeypatch.setattr(ET, "XMLParser", counted)
         assert _outcome(data) == expected
         assert calls == [1]
 
@@ -486,6 +520,12 @@ _LEGAL_TEXT = st.lists(
     ),
     max_size=6,
 ).map("".join)
+# "]"-rich text: the CDATA fields' terminator, the writer's split of it, and
+# near misses of both, in runs that merge.
+_BRACKET_TEXT = st.lists(
+    st.sampled_from(["]", "]]", "]]>", ">", "<![CDATA[", "]]]]><![CDATA[>", "a"]), max_size=30
+).map("".join)
+_HTML_TEXT = _LEGAL_TEXT | _BRACKET_TEXT
 _NUMBER = st.one_of(
     st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False)
 )
@@ -500,12 +540,13 @@ def _question(draw):
         payload = NumericalAnswerSet(draw(st.lists(_NUMBER, max_size=3)), draw(_NUMBER))
     elif kind is QuestionKind.MULTIPLE_CHOICE:
         fractions = st.floats(-100, 100)
-        choices = draw(st.lists(st.builds(Choice, _LEGAL_TEXT, fractions), max_size=4))
+        choices = draw(st.lists(st.builds(Choice, _HTML_TEXT, fractions), max_size=4))
         payload = ChoiceSet(choices)
     else:
-        payload = MatchPairList(draw(st.lists(st.tuples(_LEGAL_TEXT, _LEGAL_TEXT), max_size=3)))
+        pairs = st.lists(st.tuples(_HTML_TEXT, _LEGAL_TEXT), max_size=3)
+        payload = MatchPairList(draw(pairs))
     category = draw(st.one_of(st.sampled_from(["", "A", "A/B", "A//B"]), _LEGAL_TEXT))
-    return Question(kind, draw(_LEGAL_TEXT), draw(_LEGAL_TEXT), payload, category)
+    return Question(kind, draw(_HTML_TEXT), draw(_HTML_TEXT), payload, category)
 
 
 def _writer_output(questions):

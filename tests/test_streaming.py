@@ -27,6 +27,7 @@ from quizbank import (
     QuizbankError,
     embed_image,
     embed_video,
+    parse_bank,
     render_preview,
     serialize_bank,
 )
@@ -218,6 +219,19 @@ class TestMemory:
         peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
         assert "questions: 3" in capsys.readouterr().out
         assert peak < 3 * size + (4 << 20)
+
+    def test_non_ascii_bank_leaving_the_layout_late_has_no_utf8_copy(self):
+        """A comment after the last question fails the direct reader at the end:
+        ElementTree then reads the decoded text in slices, so expat never holds
+        the UTF-8 form of the whole text beside it. The bytes exist before
+        tracing starts, so the peak is what the parse adds to them."""
+        bank = QuestionBank(None)
+        bank.addShortAnswer("wide", "\u00e9" * (4 << 20), ["x"])
+        data = serialize_bank(bank) + b"<!-- edited -->\n"
+        recovered = []
+        peak = _traced_peak(lambda: recovered.append(parse_bank(data)))
+        assert recovered[0].questions == bank.questions
+        assert peak < 3 * len(data)
 
     def test_streamed_write_of_a_large_field_holds_one_chunk(self, tmp_path):
         """The bank's texts exist before tracing starts, so the peak is what
