@@ -175,7 +175,7 @@ def _cmd_stats(args) -> int:
             f"--media-warn-mb must be a finite number >= 0, got {args.media_warn_mb:g}"
         )
     bank = _load_bank(args.bank)
-    kind_counts = Counter(q.kind.value for q in bank.questions)
+    kind_counts = Counter(q.kind for q in bank.questions)
     category_counts = Counter(q.category or "(default)" for q in bank.questions)
     sizes = [question_media_bytes(question) for question in bank.questions]
     threshold = args.media_warn_mb * 1024 * 1024
@@ -187,8 +187,8 @@ def _cmd_stats(args) -> int:
                 f"above the {args.media_warn_mb:g} MB threshold"
             )
     print(f"questions: {len(bank.questions)}")
-    for kind in sorted(kind_counts):
-        print(f"  {kind}: {kind_counts[kind]}")
+    for kind in sorted(kind_counts):  # members compare as their values
+        print(f"  {kind.value}: {kind_counts[kind]}")
     print("categories:")
     if not category_counts:
         print("  (none)")

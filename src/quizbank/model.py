@@ -183,6 +183,10 @@ def canonical_number(value) -> str:
     """Stable text form for a numeric answer or tolerance: the plain int or
     float form of any real number (numpy scalars, Fraction), whatever its
     own str or repr prints."""
+    if type(value) is float:  # the common types first: no ABC checks
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"expected a number, got {value!r}")
     if isinstance(value, numbers.Integral):

@@ -46,8 +46,7 @@ _KINDS = {kind.value: kind for kind in QuestionKind}
 # LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates.
 # Only a failing write searches for them, so re compiles this on first use.
 _UNENCODABLE = "[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
-# Every byte but those C0 controls: deleting these leaves the illegal ones.
-_LEGAL_BYTES = bytes(c for c in range(256) if c >= 0x20 or c in b"\t\n")
+_CONTROLS = [c for c in range(0x20) if c not in b"\t\n"]
 
 # The writer's layout, block by block, in literal pieces: "%s" marks an
 # entity-escaped field (between quotes, an attribute value) and each boundary
@@ -85,6 +84,12 @@ _SUBQUESTION = (
     '    <subquestion format="html">\n      <text><![CDATA[',
     "]]></text>\n      <answer>\n        <text>%s</text>\n      </answer>\n    </subquestion>\n",
 )
+# Per kind, built from its value (how a member itself formats differs between
+# Python versions): the value, the head with "%s" left for the name, the stem's close.
+_HEADS = {
+    kind: (kind.value, _QUESTION[0] % (kind.value, "%s"), _STEM_CLOSE[kind.value])
+    for kind in QuestionKind
+}
 
 
 # The reader's patterns, one per block, compiled on first use (a build never
@@ -115,16 +120,22 @@ def escape_for_cdata(text: str) -> str:
 
 
 def escape_xml_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "&" in text or "<" in text or ">" in text:  # three C searches cost less than replaces
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text
 
 
-@functools.lru_cache(maxsize=256)  # a bank repeats a few fractions in every question
 def format_fraction(value) -> str:
     """Grade percentage as emitted in fraction attributes: 5-decimal grid."""
     rounded = round(float(value), 5)
     if rounded == 0:
         return "0"
     return f"{rounded:.5f}".rstrip("0").rstrip(".")
+
+
+@functools.lru_cache(maxsize=256)  # a bank repeats a few fractions in every question
+def _choice_head(fraction) -> str:
+    return _CHOICE[0] % format_fraction(fraction)
 
 
 def serialize_bank(bank) -> bytes:
@@ -232,19 +243,17 @@ def _document_blocks(bank):
 
 def _emit_question(parts, question) -> None:
     # Each CDATA text is an item of its own, so no join copies a long one.
-    kind = question.kind.value
-    head = _QUESTION[0] % (kind, escape_xml_text(question.name))
-    parts += (head, escape_for_cdata(question.stem), _STEM_CLOSE[kind])
+    kind, head, close = _HEADS[question.kind]
     payload = question.payload
-    if kind == "shortanswer":
+    parts += (head % escape_xml_text(question.name), escape_for_cdata(question.stem), close)
+    if kind == "multichoice":
+        for choice in payload.choices:
+            parts += (_choice_head(choice.fraction), escape_for_cdata(choice.text), _CHOICE[1])
+    elif kind == "shortanswer":
         parts += [_SHORT_ANSWER % escape_xml_text(answer) for answer in payload.answers]
     elif kind == "numerical":
-        tolerance = canonical_number(payload.tolerance)
-        parts += [_NUMERICAL_ANSWER % (canonical_number(a), tolerance) for a in payload.answers]
-    elif kind == "multichoice":
-        for choice in payload.choices:
-            fraction = format_fraction(choice.fraction)
-            parts += (_CHOICE[0] % fraction, escape_for_cdata(choice.text), _CHOICE[1])
+        answer = _NUMERICAL_ANSWER % ("%s", canonical_number(payload.tolerance))
+        parts += [answer % canonical_number(value) for value in payload.answers]
     else:
         for prompt, match in payload.pairs:
             match = _SUBQUESTION[1] % escape_xml_text(match)
@@ -254,13 +263,16 @@ def _emit_question(parts, question) -> None:
 
 def _xml_legal(text: str, data) -> bool:
     """Whether text, encoded as data, holds only characters XML can carry.
-    One pass over 64 KiB slices of the bytes, each deleting all legal bytes
-    into a small scratch result, finds C0 controls; U+FFFE/U+FFFF are sought
-    in the str, where the search is free unless it holds such wide characters.
+    Each 256 KiB stretch of the bytes is searched in place (a bounded find,
+    memchr, copying nothing) for each C0 control while it stays in cache;
+    U+FFFE/U+FFFF are sought in the str, where the search is free unless it
+    holds such wide characters.
     """
-    slices = (data[start:start + 65536] for start in range(0, len(data), 65536))
-    controls = any(piece.translate(None, _LEGAL_BYTES) for piece in slices)
-    return not (controls or "\ufffe" in text or "\uffff" in text)
+    find = data.find
+    for start in range(0, len(data), 1 << 18):
+        if any(find(control, start, start + (1 << 18)) >= 0 for control in _CONTROLS):
+            return False
+    return "\ufffe" not in text and "\uffff" not in text
 
 
 # -- parser ---------------------------------------------------------------

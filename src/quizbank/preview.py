@@ -54,6 +54,21 @@ _MATH_CONFIG = (
     "displayMath: [['$$', '$$']]}};"
 )
 
+# Per kind, built from its value (how a member itself formats differs between
+# Python versions): the value and the opening, "%s" left for the shown name.
+_OPENINGS = {
+    kind: (kind.value, f'<article class="question" data-kind="{kind.value}">\n<header>'
+           '<span class="question-name">%s</span>'
+           f'<span class="question-kind">{kind.value}</span></header>\n<div class="stem">')
+    for kind in QuestionKind
+}
+_RESPONSE = (
+    '<div class="response"><input type="text" disabled><span class="accepted">%s</span>%s</div>'
+)
+_CORRECT = '<li class="choice correct"><label><input type="radio" disabled checked> '
+_WRONG = '<li class="choice"><label><input type="radio" disabled> '
+_SELECT = "</td><td><select disabled>%s selected%s</select></td></tr>\n"
+
 
 def render_preview(bank, output_path, math="cdn"):
     """Write the preview page for ``bank`` to ``output_path``.
@@ -92,8 +107,6 @@ def _page_blocks(bank, math):
     Stems, choice texts and matching prompts are pieces of their own, so no
     join copies them before the page is encoded.
     """
-    from html import escape  # here, not at the top: only previews and images escape text
-
     head = [
         '<!DOCTYPE html>\n<html lang="en">\n<head>\n<meta charset="utf-8">',
         f"<title>Question bank preview</title>\n<style>{_STYLE}</style>",
@@ -102,7 +115,7 @@ def _page_blocks(bank, math):
     ]
     # A path from argv holds a lone surrogate for each undecodable byte: shown as "?".
     source = str(bank.output_path).encode(errors="replace").decode() if bank.output_path else ""
-    head.append(f"<h1>Question bank preview &mdash; {escape(source or 'unsaved bank')}</h1>")
+    head.append(f"<h1>Question bank preview &mdash; {_escaped(source or 'unsaved bank')}</h1>")
     if not bank.questions:
         head.append('<p class="empty-notice">This bank contains no questions.</p>')
     yield ["\n".join(head) + "\n"]
@@ -112,9 +125,9 @@ def _page_blocks(bank, math):
         category = question.category
         if category != shown_category:
             heading = category.replace("/", " / ") if category else "Default category"
-            block.append(f'<h2 class="category">{escape(heading)}</h2>\n')
+            block.append(f'<h2 class="category">{_escaped(heading)}</h2>\n')
             shown_category = category
-        _question_block(block, question, index, escape)
+        _question_block(block, question, index)
         yield block
     yield ["</main>\n</body>\n</html>\n"]
 
@@ -129,66 +142,60 @@ def _math_script(math):
     return [f"<script>{_MATH_CONFIG}</script>", renderer]
 
 
-def _question_block(pieces, question, index, escape) -> None:
+def _escaped(text: str) -> str:
+    """html.escape(text), or text itself when it holds none of &<>"'."""
+    if "&" in text or "<" in text or ">" in text or '"' in text or "'" in text:
+        from html import escape  # here, not at the top: only such texts need it
+        return escape(text)
+    return text
+
+
+def _question_block(pieces, question, index) -> None:
     """Append the question's <article> and a line break to ``pieces``."""
-    shown_name = question.name if question.name else f"Q{index}"
-    kind = question.kind
-    pieces += (
-        f'<article class="question" data-kind="{kind.value}">\n'
-        "<header>"
-        f'<span class="question-name">{escape(shown_name)}</span>'
-        f'<span class="question-kind">{kind.value}</span>'
-        '</header>\n<div class="stem">',
-        question.stem,
-        "</div>\n",
-    )
-    if kind is QuestionKind.MULTIPLE_CHOICE:
-        _choices_body(pieces, question.payload)
-    elif kind is QuestionKind.NUMERICAL:
-        accepted = " | ".join(canonical_number(a) for a in question.payload.answers)
-        tolerance = canonical_number(question.payload.tolerance)
-        pieces.append(
-            '<div class="response"><input type="text" disabled>'
-            f'<span class="accepted">{escape(accepted)}</span>'
-            f'<span class="tolerance">&plusmn; {escape(tolerance)}</span></div>'
-        )
-    elif kind is QuestionKind.SHORT_ANSWER:
-        accepted = " | ".join(question.payload.answers)
-        pieces.append(
-            '<div class="response"><input type="text" disabled>'
-            f'<span class="accepted">{escape(accepted)}</span></div>'
-        )
-    elif kind is QuestionKind.MATCHING:
-        _matching_body(pieces, question.payload, escape)
+    kind, opening = _OPENINGS[question.kind]
+    payload = question.payload
+    pieces += (opening % _escaped(question.name or f"Q{index}"), question.stem, "</div>\n")
+    if kind == "multichoice":
+        _choices_body(pieces, payload.choices)
+    elif kind == "numerical":  # numbers hold nothing to escape
+        accepted = " | ".join([canonical_number(a) for a in payload.answers])
+        tolerance = canonical_number(payload.tolerance)
+        tolerance = f'<span class="tolerance">&plusmn; {tolerance}</span>'
+        pieces.append(_RESPONSE % (accepted, tolerance))
+    elif kind == "shortanswer":
+        pieces.append(_RESPONSE % (_escaped(" | ".join(payload.answers)), ""))
+    else:
+        _matching_body(pieces, payload.pairs)
     pieces.append("\n</article>\n")
 
 
-def _choices_body(pieces, payload) -> None:
+def _choices_body(pieces, choices) -> None:
     # Correct alternative(s) first; everything else keeps its stored order.
-    ordered = [c for c in payload.choices if c.fraction == 100]
-    ordered += [c for c in payload.choices if c.fraction != 100]
+    correct, wrong = [], []
+    for choice in choices:
+        if choice.fraction == 100:
+            correct += (_CORRECT, choice.text, "</label></li>\n")
+        else:
+            wrong += (_WRONG, choice.text, "</label></li>\n")
     # Each item ends its own line; a list with none keeps one blank line.
-    pieces.append('<ol class="choices">\n' if ordered else '<ol class="choices">\n\n')
-    for choice in ordered:
-        correct = choice.fraction == 100
-        css = "choice correct" if correct else "choice"
-        checked = " checked" if correct else ""
-        label = f'<li class="{css}"><label><input type="radio" disabled{checked}> '
-        pieces += (label, choice.text, "</label></li>\n")
+    pieces.append('<ol class="choices">\n' if choices else '<ol class="choices">\n\n')
+    pieces += correct
+    pieces += wrong
     pieces.append("</ol>")
 
 
-def _matching_body(pieces, payload, escape) -> None:
+def _matching_body(pieces, pairs) -> None:
     # One drop-down per prompt, options in pair order, the first option equal
-    # to its own match selected.
-    options_in_order = [match for _, match in payload.pairs]
+    # to its own match selected. Each match is escaped once: a drop-down is
+    # all the options, cut after the "<option" of its selected one.
+    options, cuts, cut = [], {}, len("<option")
+    for _, match in pairs:
+        cuts.setdefault(match, cut)
+        options.append(f"<option>{_escaped(match)}</option>")
+        cut += len(options[-1])
+    options = "".join(options)
     pieces.append('<table class="match-pairs">\n')
-    for prompt, match in payload.pairs:
-        first = options_in_order.index(match)
-        options = [
-            f"<option{' selected' if i == first else ''}>{escape(option)}</option>"
-            for i, option in enumerate(options_in_order)
-        ]
-        select = f"</td><td><select disabled>{''.join(options)}</select></td></tr>\n"
+    for prompt, match in pairs:
+        select = _SELECT % (options[:cuts[match]], options[cuts[match]:])
         pieces += ('<tr><td class="match-prompt">', prompt, select)
     pieces.append("</table>")

@@ -204,6 +204,52 @@ _CATEGORY = (
 )
 
 
+_LEGAL_BYTES = bytes(c for c in range(256) if c >= 0x20 or c in b"\t\n")
+
+
+def _reference_xml_legal(text, data):
+    """The legality scan as it was: delete every legal byte of 64 KiB slices."""
+    slices = (data[start:start + 65536] for start in range(0, len(data), 65536))
+    controls = any(piece.translate(None, _LEGAL_BYTES) for piece in slices)
+    return not (controls or "\ufffe" in text or "\uffff" in text)
+
+
+class TestXmlLegalScan:
+    """moodle_xml._xml_legal agrees with the reference scan."""
+
+    SLICE = 1 << 18  # the length of the stretch the scan searches at a time
+
+    @pytest.mark.parametrize("code", range(0x20))
+    def test_every_c0_control_anywhere(self, code):
+        data = b"a" * (self.SLICE + 70000)
+        ends = (0, 1, 65535, 65536, self.SLICE - 1, self.SLICE, self.SLICE + 1)
+        for at in (*ends, len(data) - 1, len(data)):
+            edited = data[:at] + bytes([code]) + data[at:]
+            text = edited.decode()
+            expected = _reference_xml_legal(text, edited)
+            assert expected == (code in b"\t\n")
+            assert moodle_xml._xml_legal(text, edited) is expected
+            assert moodle_xml._xml_legal(text, bytearray(edited)) is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.sampled_from(["a", "é", "中", "\t", "\n", "\x00", "\x0b", "\x1f", "\r", "\x7f"])
+            | st.sampled_from(["\ufffe", "\uffff", "\U0001f600"]),
+            max_size=8,
+        ),
+        size=st.sampled_from([0, 1000, 65535, (1 << 18) - 2, 1 << 18, (1 << 18) + 65537]),
+        where=st.lists(st.floats(0, 1), max_size=8),
+    )
+    def test_agrees_with_reference(self, pieces, size, where):
+        text = "x" * size
+        for piece, at in zip(pieces, where):
+            at = int(at * len(text))
+            text = text[:at] + piece + text[at:]
+        data = text.encode()
+        assert moodle_xml._xml_legal(text, data) is _reference_xml_legal(text, data)
+
+
 class TestEncodabilityProperty:
     @settings(max_examples=150, deadline=None)
     @given(
