@@ -48,8 +48,8 @@ build_overrides: ContextVar[dict | None] = ContextVar("build_overrides", default
 def default_wrong_fraction(choice_count: int) -> float:
     """Penalty making random guessing expectation-neutral: -100/(k-1).
 
-    Rounded to 5 decimals so the value lands on the grade grid accepted
-    by LMS importers (-33.33333 for four choices).
+    Rounded to 5 decimals (-33.33333 for four choices). Only k = 2..11 and
+    k = 21 land on Moodle's grade list; its default import skips the rest.
     """
     return round(-100.0 / (choice_count - 1), 5)
 

@@ -48,17 +48,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        # --help and friends land here; argparse already printed.
-        return EXIT_OK if not exc.code else EXIT_USAGE
-    try:
         return args.handler(args)
     except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:
+        # --help and friends, once argparse printed (build catches a script's own).
+        return EXIT_OK if not exc.code else EXIT_USAGE
     except (QuizbankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -101,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     maintain = sub.add_parser("maintain", help="bulk-edit an XML bank")
     maintain.add_argument("bank", type=Path)
+    maintain.set_defaults(handler=_cmd_maintain)
     maintain_sub = maintain.add_subparsers(dest="operation", required=True)
 
     replace = maintain_sub.add_parser("replace-text", help="replace text everywhere")
@@ -109,31 +106,23 @@ def _build_parser() -> argparse.ArgumentParser:
     replace.add_argument(
         "--regex", action="store_true", help="treat OLD as a regular expression"
     )
-    _add_maintain_output_args(replace)
-    replace.set_defaults(handler=_cmd_maintain_replace)
-
     penalty = maintain_sub.add_parser(
         "set-penalty", help="set the wrong-answer fraction of all multiple-choice questions"
     )
     penalty.add_argument("fraction", type=float, help="new fraction, between -100 and 0")
-    _add_maintain_output_args(penalty)
-    penalty.set_defaults(handler=_cmd_maintain_penalty)
-
+    for operation in (replace, penalty):
+        operation.add_argument(
+            "--out",
+            type=Path,
+            default=None,
+            help="write the edited bank here instead of in place",
+        )
+        operation.add_argument(
+            "--no-backup",
+            action="store_true",
+            help="skip the timestamped .bak copy when editing in place",
+        )
     return parser
-
-
-def _add_maintain_output_args(parser) -> None:
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the edited bank here instead of in place",
-    )
-    parser.add_argument(
-        "--no-backup",
-        action="store_true",
-        help="skip the timestamped .bak copy when editing in place",
-    )
 
 
 # -- commands ----------------------------------------------------------------
@@ -205,20 +194,21 @@ def _cmd_preview(args) -> int:
     return EXIT_OK
 
 
-def _cmd_maintain_replace(args) -> int:
+def _cmd_maintain(args) -> int:
     bank = _load_bank(args.bank)
-    replace = replace_text_pattern if args.regex else replace_text
-    count = replace(bank, args.old, args.new)
-    _write_maintained(bank, args)
-    print(f"replacements: {count}")
-    return EXIT_OK
-
-
-def _cmd_maintain_penalty(args) -> int:
-    bank = _load_bank(args.bank)
-    count = set_wrong_penalty(bank, args.fraction)
-    _write_maintained(bank, args)
-    print(f"questions updated: {count}")
+    if args.operation == "replace-text":
+        replace = replace_text_pattern if args.regex else replace_text
+        report = f"replacements: {replace(bank, args.old, args.new)}"
+    else:
+        report = f"questions updated: {set_wrong_penalty(bank, args.fraction)}"
+    target, backup = args.out, None
+    if target is None or (target.exists() and os.path.samefile(target, args.bank)):
+        target = args.bank  # any spelling of the bank's own path edits in place
+        if not args.no_backup:
+            def backup():  # once the edited bank is on file whole, before the rename
+                print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
+    atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
+    print(report)
     return EXIT_OK
 
 
@@ -229,16 +219,6 @@ def _load_bank(path: Path):
     bank = parse_bank(path.read_bytes())
     bank.output_path = path
     return bank
-
-
-def _write_maintained(bank, args) -> None:
-    target, backup = args.out, None
-    if target is None or (target.exists() and os.path.samefile(target, args.bank)):
-        target = args.bank  # any spelling of the bank's own path edits in place
-        if not args.no_backup:
-            def backup():  # once the edited bank is on file whole, before the rename
-                print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
-    atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
 
 
 if __name__ == "__main__":

@@ -40,8 +40,6 @@ from .model import (
 # importers; the bank-level path "A/B" becomes "$course$/top/A/B".
 CATEGORY_PREFIX = "$course$/top"
 
-_KINDS = {kind.value: kind for kind in QuestionKind}
-
 # XML 1.0 cannot carry the C0 controls but tab and LF (a parser turns CR into
 # LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates.
 # Only a failing write searches for them, so re compiles this on first use.
@@ -63,14 +61,20 @@ _QUESTION = (
     "]]></text>\n    </questiontext>\n",
 )
 _QUESTION_END = "  </question>\n"
-# What follows each type's stem: the end of its CDATA, then its fixed elements.
+# Per type name, which a member finds too (members hash and compare as their
+# values): the member, the head with "%s" left for the name (built from the value,
+# as a member formats differently across Python versions), and what follows the
+# stem: the end of its CDATA, then the type's fixed elements.
 _SHUFFLE = "    <shuffleanswers>true</shuffleanswers>\n"
-_STEM_CLOSE = {
-    "shortanswer": _QUESTION[1] + "    <usecase>0</usecase>\n",
-    "numerical": _QUESTION[1],
-    "multichoice": _QUESTION[1] + "    <single>true</single>\n" + _SHUFFLE
-    + "    <answernumbering>none</answernumbering>\n",
-    "matching": _QUESTION[1] + _SHUFFLE,
+_TYPES = {
+    kind.value: (kind, _QUESTION[0] % (kind.value, "%s"), _QUESTION[1] + fixed)
+    for kind, fixed in (
+        (QuestionKind.SHORT_ANSWER, "    <usecase>0</usecase>\n"),
+        (QuestionKind.NUMERICAL, ""),
+        (QuestionKind.MULTIPLE_CHOICE, "    <single>true</single>\n" + _SHUFFLE
+         + "    <answernumbering>none</answernumbering>\n"),
+        (QuestionKind.MATCHING, _SHUFFLE),
+    )
 }
 # Each type's block per answer, choice or pair.
 _ANSWER = '    <answer fraction="100">\n      <text>%s</text>\n'
@@ -84,12 +88,6 @@ _SUBQUESTION = (
     '    <subquestion format="html">\n      <text><![CDATA[',
     "]]></text>\n      <answer>\n        <text>%s</text>\n      </answer>\n    </subquestion>\n",
 )
-# Per kind, built from its value (how a member itself formats differs between
-# Python versions): the value, the head with "%s" left for the name, the stem's close.
-_HEADS = {
-    kind: (kind.value, _QUESTION[0] % (kind.value, "%s"), _STEM_CLOSE[kind.value])
-    for kind in QuestionKind
-}
 
 
 # The reader's patterns, one per block, compiled on first use (a build never
@@ -105,7 +103,8 @@ _READERS = [
     for block in ((_CATEGORY,), _QUESTION[:1], (_SHORT_ANSWER,), (_NUMERICAL_ANSWER,), _CHOICE,
                   _SUBQUESTION)
 ]
-# A bank repeats a few fractions in every question: each is converted once.
+# A bank repeats a few fractions in every question: each is converted once, so
+# a read holds one float per distinct fraction, not one per choice.
 _read_fraction = functools.lru_cache(maxsize=256)(float)
 
 
@@ -209,7 +208,7 @@ def parse_bank(data) -> QuestionBank:
             bank.category = _category_path(element.findtext("category/text") or "")
             continue
         number += 1
-        if qtype not in _KINDS:
+        if qtype not in _TYPES:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
         name = element.findtext("name/text") or ""
@@ -219,7 +218,7 @@ def parse_bank(data) -> QuestionBank:
             raise BankParseError(f"question #{number}: {exc}") from exc
         if payload is not None:
             stem = element.findtext("questiontext/text") or ""
-            bank.questions.append(Question(_KINDS[qtype], name, stem, payload, bank.category))
+            bank.questions.append(Question(_TYPES[qtype][0], name, stem, payload, bank.category))
     return bank
 
 
@@ -243,7 +242,7 @@ def _document_blocks(bank):
 
 def _emit_question(parts, question) -> None:
     # Each CDATA text is an item of its own, so no join copies a long one.
-    kind, head, close = _HEADS[question.kind]
+    kind, head, close = _TYPES[question.kind]
     payload = question.payload
     parts += (head % escape_xml_text(question.name), escape_for_cdata(question.stem), close)
     if kind == "multichoice":
@@ -290,7 +289,7 @@ def _parse_own_layout(text: str) -> QuestionBank:
     pos = len(_DOCUMENT[0])
     while not text.startswith(_DOCUMENT[1], pos):
         head = read_head(text, pos)
-        if head is None or head[1] not in _STEM_CLOSE:  # a category, or no type of ours
+        if head is None or head[1] not in _TYPES:  # a category, or no type of ours
             block = read_category(text, pos)
             if block is None:
                 raise ValueError("not the writer's layout")
@@ -298,7 +297,7 @@ def _parse_own_layout(text: str) -> QuestionBank:
             pos = block.end()
             continue
         kind, name = head.groups()
-        close, start = _STEM_CLOSE[kind], head.end()
+        (member, _, close), start = _TYPES[kind], head.end()
         stop = text.index(close, start)  # a substring search: no stem meets the regex engine
         stem, pos = _uncdata(text[start:stop]), stop + len(close)
         if kind == "shortanswer":
@@ -334,7 +333,7 @@ def _parse_own_layout(text: str) -> QuestionBank:
             raise ValueError("not the writer's layout")
         pos += len(_QUESTION_END)
         name = _unescape(name) if "&" in name else name
-        append(Question(_KINDS[kind], name, stem, payload, category))
+        append(Question(member, name, stem, payload, category))
     if pos + len(_DOCUMENT[1]) != len(text):
         raise ValueError("trailing data")
     bank.category = category
@@ -372,9 +371,9 @@ def _category_path(marker: str) -> str:
 def _parse_payload(element, qtype, name, bank):
     """A supported foreign question's payload; None for a skipped multi-select one."""
     answers = element.findall("answer")
-    if qtype == QuestionKind.SHORT_ANSWER.value:
+    if qtype == "shortanswer":
         return ShortAnswerSet([ans.findtext("text") or "" for ans in answers])
-    if qtype == QuestionKind.NUMERICAL.value:
+    if qtype == "numerical":
         values = []
         tolerance = 0.0
         for position, ans in enumerate(answers):
@@ -390,7 +389,7 @@ def _parse_payload(element, qtype, name, bank):
                         f"keeping {tolerance}"
                     )
         return NumericalAnswerSet(values, tolerance)
-    if qtype == QuestionKind.MULTIPLE_CHOICE.value:
+    if qtype == "multichoice":
         single = (element.findtext("single") or "true").strip().lower()
         if single in ("false", "0"):
             bank.warn(

@@ -68,6 +68,18 @@ class TestSetCategory:
             bank.setCategory(path)
         assert bank.category == ""
 
+    @pytest.mark.parametrize("path", [None, 3, b"A"])
+    def test_non_string_rejected(self, make_bank, path):
+        bank = make_bank(seed=1)
+        bank.setCategory("Topic")
+        bank.addShortAnswer("", "Q?", ["x"])
+        state = bank.rng.getstate()
+        with pytest.raises(ValidationError, match="category path must be a string"):
+            bank.setCategory(path)
+        assert bank.category == "Topic"
+        assert [q.category for q in bank.questions] == ["Topic"]
+        assert bank.warnings == [] and bank.rng.getstate() == state
+
     @pytest.mark.parametrize("path", [" Topic", "A / B"])
     def test_padded_segments_round_trip(self, make_bank, path):
         bank = make_bank()

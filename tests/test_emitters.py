@@ -46,7 +46,7 @@ def _reference_emit_question(parts, question) -> None:
     m = moodle_xml
     kind = question.kind.value
     head = m._QUESTION[0] % (kind, _reference_escape_xml_text(question.name))
-    parts += (head, m.escape_for_cdata(question.stem), m._STEM_CLOSE[kind])
+    parts += (head, m.escape_for_cdata(question.stem), m._TYPES[kind][2])
     payload = question.payload
     if kind == "shortanswer":
         parts += [m._SHORT_ANSWER % _reference_escape_xml_text(a) for a in payload.answers]
