@@ -1,5 +1,6 @@
 """Generator behavior: counting arithmetic, sampling, and the three pool kinds."""
 
+import inspect
 import math
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from quizbank import (
     CapacityError,
     QuestionBank,
+    QuizbankError,
     SamplingError,
     ValidationError,
     count_distinct,
@@ -628,3 +630,46 @@ class TestScaling:
             return sum(calls.values())
 
         assert work(400) / work(200) <= 2.5
+
+
+class TestMethodSurface:
+    # The three generator methods as scripts see them: parameters after the
+    # bank, the docstring's first line (help() shows it), and the closed-bank
+    # error, raised before any argument is looked at.
+    SURFACE = {
+        "addMultipleChoiceFromLists": (
+            "title, question, correct, distractors, num_questions=-1",
+            "Generate multiple-choice questions from a correct/distractor pool.",
+            ("t", "q", [], []),
+        ),
+        "addMultipleChoiceFromPairs": (
+            "title, pattern, pairs, extra_distractors=(), num_questions=-1",
+            "Generate multiple-choice questions from (key, answer) pairs.",
+            ("t", "no placeholder", [], (), -5),
+        ),
+        "addCompleteCode": (
+            "title, pattern, source_text, tokens, extra_distractors=(), num_questions=-1, "
+            "blank=None",
+            "Generate fill-in-the-blank questions by blanking tokens in a text.",
+            ("t", "no placeholder", "", [], (), "many", 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_parameters_and_docstring(self, name):
+        parameters, first_line, _ = self.SURFACE[name]
+        method = getattr(QuestionBank, name)
+        after_bank = list(inspect.signature(method).parameters.values())[1:]
+        assert ", ".join(map(str, after_bank)) == parameters
+        assert method.__doc__.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_closed_bank_raises_before_arguments_are_checked(self, name, tmp_path, capsys):
+        bank = QuestionBank(tmp_path / "bank.xml", seed=1)
+        bank.addShortAnswer("", "Q?", "a")
+        bank.close()
+        with pytest.raises(QuizbankError) as err:
+            getattr(bank, name)(*self.SURFACE[name][2])
+        assert type(err.value) is QuizbankError
+        assert str(err.value) == "bank is closed and can no longer be modified"
+        assert len(bank) == 1

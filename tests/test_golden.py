@@ -1,5 +1,6 @@
-"""Pinned output bytes: every bank and preview the demos write, and one
-kitchen-sink bank with its preview and its ``stats`` output, by sha256.
+"""Pinned output bytes: every bank and preview the demos write, one
+kitchen-sink bank with its preview and its ``stats`` output, and that bank
+after each kind of ``maintain`` edit with the edit's report, by sha256.
 
 A change that alters any of these bytes fails here. One that means to
 alter them recomputes the values and says why in CHANGES.md.
@@ -49,6 +50,26 @@ KITCHEN_SINK = {
     "sink.xml": "ba1f36b03182016b33ed1783e4d47249f68f470d3a3e0ae151f30656124cef7c",
     "sink.html": "ac17651e50893baa25f80d553d635ac1c23e500fd1738e0e4ffff6b9a04840bd",
     "stats": "95a521b0ea24f0097e8cfdfbeca999d611e831428f6c8c9fd82c14911a2aebc5",
+}
+
+# Each edit writes the kitchen-sink bank to a new file with --out: the
+# edited bank's digest, then the digest of the command's standard output.
+MAINTAINED = {
+    "literal": (
+        ["replace-text", "]]>", "]]]>"],
+        "e63922fdc22f7b475a76717861b8d535941148a59e2fcf6b8d75ea11ee42a96c",
+        "d87db6a2c19f81f77f161361f1f16e6c0eee2e9cbc4c58113c81e7515d212a67",
+    ),
+    "regex": (
+        ["replace-text", "--regex", r"choice (\d+)", r"option \1"],
+        "80064128413c1c61eb2a065b8227f4b7dfba9d6c80953afcb337e739717195ca",
+        "551d19cd6b3445c51f012c5a1ad849e3c32ae36323257abc1669aeb1378c9036",
+    ),
+    "penalty": (
+        ["set-penalty", "-25"],
+        "f4dd656c4fa9a1295b7acc9c61ea4ebac5c01bb9f2bf943058302301a4c88233",
+        "46bcd591f7ea99cebfc8e0c78e94a730f03fb8afe8d2834b06201d403d7fce88",
+    ),
 }
 
 HOSTILE = "&<>\"' ]]> end"
@@ -133,3 +154,21 @@ def test_kitchen_sink(tmp_path, capsys):
     stats = capsys.readouterr().out.encode()
     digests = _output_digests(tmp_path, tmp_path)
     assert digests | {"stats": _digest(stats)} == KITCHEN_SINK
+
+
+@pytest.mark.parametrize("edit", sorted(MAINTAINED))
+def test_maintained_kitchen_sink(edit, tmp_path, capsys):
+    # The path the benchmark's replace and penalty commands take: parse the
+    # writer's own layout, edit, and serialize again.
+    operation, bank_digest, stdout_digest = MAINTAINED[edit]
+    bank = QuestionBank(tmp_path / "sink.xml", seed=2020)
+    _fill_kitchen_sink(bank)
+    bank.close()
+    capsys.readouterr()
+    out = tmp_path / "edited.xml"
+    assert cli.main(["maintain", str(tmp_path / "sink.xml"), *operation, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (_digest(out.read_bytes()), _digest(captured.out.encode())) == (
+        bank_digest, stdout_digest,
+    )
