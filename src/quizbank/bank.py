@@ -10,8 +10,9 @@ A bank is built by an authoring script, usually top to bottom::
     Q.addMultipleChoice("", "Which value solves \\(x^2-x-6=0\\)?", [3, 1, 2, 4])
     Q.close()
 
-Builder methods keep their camelCase names because they are the
-script-facing API; the rest of the package is regular snake_case.
+Builder methods, and the generator methods the ``generators`` module
+defines, keep their camelCase names because they are the script-facing
+API; the rest of the package is regular snake_case.
 
 A bank is a single-writer object: do not mutate one bank from several
 threads. Reading (serialization, preview, stats) does not mutate.
@@ -137,54 +138,9 @@ class QuestionBank:
 
     # -- random generation (pool-based) --------------------------------------
 
-    def addMultipleChoiceFromLists(
-        self, title, question, correct, distractors, num_questions=-1
-    ) -> int:
-        """Generate multiple-choice questions from a correct/distractor pool.
-
-        Each question pairs one correct answer with 3 sampled distractors.
-        With c usable correct answers and d distractors the pool yields up
-        to c unique questions (different correct answers) and c * C(d, 3)
-        distinct ones (differing in at least one choice); the default of
-        -1 asks for the c unique ones. Returns the number added.
-        """
-        self._require_open()
-        return generators.generate_from_lists(
-            self, title, question, correct, distractors, num_questions
-        )
-
-    def addMultipleChoiceFromPairs(
-        self, title, pattern, pairs, extra_distractors=(), num_questions=-1
-    ) -> int:
-        """Generate multiple-choice questions from (key, answer) pairs.
-
-        ``pattern`` must contain exactly one ``%s``, which each generated
-        stem replaces with the chosen key. Distractors come from the other
-        answers plus ``extra_distractors``, never equal (as strings) to
-        the chosen answer. Returns the number added.
-        """
-        self._require_open()
-        return generators.generate_from_pairs(
-            self, title, pattern, pairs, extra_distractors, num_questions
-        )
-
-    def addCompleteCode(
-        self, title, pattern, source_text, tokens, extra_distractors=(), num_questions=-1,
-        blank=None,
-    ) -> int:
-        """Generate fill-in-the-blank questions by blanking tokens in a text.
-
-        Each question picks one token, replaces all its occurrences in
-        ``source_text`` with a blank marker, splices the blanked text into
-        ``pattern`` at its single ``%s``, and offers the token plus 3
-        distractors drawn from the other tokens and ``extra_distractors``.
-        ``blank`` overrides the plain-text marker, e.g. with a styled span
-        for HTML contexts. Returns the number added.
-        """
-        self._require_open()
-        return generators.generate_complete_code(
-            self, title, pattern, source_text, tokens, extra_distractors, num_questions, blank
-        )
+    addMultipleChoiceFromLists = generators.addMultipleChoiceFromLists
+    addMultipleChoiceFromPairs = generators.addMultipleChoiceFromPairs
+    addCompleteCode = generators.addCompleteCode
 
     # -- lifecycle -----------------------------------------------------------
 

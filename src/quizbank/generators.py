@@ -1,5 +1,8 @@
 """Random multiple-choice generation from instructor-provided pools.
 
+It defines QuestionBank's three camelCase generator methods as functions of
+the bank, which the class binds as they are.
+
 Vocabulary used throughout this module: two generated questions are
 *unique* when their correct answers differ (their distractors may
 overlap), and *distinct* when they differ in at least one choice. Choice
@@ -68,10 +71,19 @@ def sample_distractors(pool, k, exclude, rng) -> list[str]:
     return rng.sample(valid, k)
 
 
-# -- the three generators ----------------------------------------------------
+# -- the three generator methods ---------------------------------------------
 
 
-def generate_from_lists(bank, title, question, correct, distractors, num_questions=-1):
+def addMultipleChoiceFromLists(bank, title, question, correct, distractors, num_questions=-1):
+    """Generate multiple-choice questions from a correct/distractor pool.
+
+    Each question pairs one correct answer with 3 sampled distractors.
+    With c usable correct answers and d distractors the pool yields up
+    to c unique questions (different correct answers) and c * C(d, 3)
+    distinct ones (differing in at least one choice); the default of
+    -1 asks for the c unique ones. Returns the number added.
+    """
+    bank._require_open()
     correct_texts = _unique_texts(correct)
     distractor_texts = _unique_texts(distractors)
     if not correct_texts:
@@ -87,7 +99,17 @@ def generate_from_lists(bank, title, question, correct, distractors, num_questio
     return _generate(bank, title, distractor_texts, slots, num_questions)
 
 
-def generate_from_pairs(bank, title, pattern, pairs, extra_distractors=(), num_questions=-1):
+def addMultipleChoiceFromPairs(
+    bank, title, pattern, pairs, extra_distractors=(), num_questions=-1
+):
+    """Generate multiple-choice questions from (key, answer) pairs.
+
+    ``pattern`` must contain exactly one ``%s``, which each generated
+    stem replaces with the chosen key. Distractors come from the other
+    answers plus ``extra_distractors``, never equal (as strings) to
+    the chosen answer. Returns the number added.
+    """
+    bank._require_open()
     _require_single_placeholder(pattern)
     pairs = list(pairs)
     if not pairs:
@@ -118,9 +140,19 @@ def generate_from_pairs(bank, title, pattern, pairs, extra_distractors=(), num_q
     return _generate(bank, title, pool, slots, num_questions)
 
 
-def generate_complete_code(
+def addCompleteCode(
     bank, title, pattern, source_text, tokens, extra_distractors=(), num_questions=-1, blank=None
 ):
+    """Generate fill-in-the-blank questions by blanking tokens in a text.
+
+    Each question picks one token, replaces all its occurrences in
+    ``source_text`` with a blank marker, splices the blanked text into
+    ``pattern`` at its single ``%s``, and offers the token plus 3
+    distractors drawn from the other tokens and ``extra_distractors``.
+    ``blank`` overrides the plain-text marker, e.g. with a styled span
+    for HTML contexts. Returns the number added.
+    """
+    bank._require_open()
     _require_single_placeholder(pattern)
     if not isinstance(source_text, str) or not source_text:
         raise ValidationError("source text must be a non-empty string")
