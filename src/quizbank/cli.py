@@ -198,17 +198,18 @@ def _cmd_maintain(args) -> int:
     bank = _load_bank(args.bank)
     if args.operation == "replace-text":
         replace = replace_text_pattern if args.regex else replace_text
-        report = f"replacements: {replace(bank, args.old, args.new)}"
+        count, report = replace(bank, args.old, args.new), "replacements: %d"
     else:
-        report = f"questions updated: {set_wrong_penalty(bank, args.fraction)}"
+        count, report = set_wrong_penalty(bank, args.fraction), "questions updated: %d"
     target, backup = args.out, None
     if target is None or (target.exists() and os.path.samefile(target, args.bank)):
-        target = args.bank  # any spelling of the bank's own path edits in place
+        target = args.bank if count else None  # in place, by any spelling; a no-op writes nothing
         if not args.no_backup:
             def backup():  # once the edited bank is on file whole, before the rename
                 print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
-    atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
-    print(report)
+    if target is not None:
+        atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
+    print(report % count)
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """The one write policy: banks, backups and previews are written atomically.
 
-Every write fills a temporary sibling of its target and renames it into
-place, so no partial file can ever appear. A new file gets the mode
-open() would give it (0666 less the umask); a replaced file keeps its
-permission bits. A failure removes the temporary file, leaves the target
-untouched and raises an OSError that names the target.
+Every write fills a temporary sibling of its target (of the file a symlink
+points to: the link stays) and renames it into place, so no partial file
+can ever appear. A new file gets open()'s mode (0666 less the umask); a
+replaced file keeps its permission bits. A failure removes the temporary
+file, leaves the target untouched and raises an OSError naming the target.
 
 Documents stream into the temporary file as UTF-8 chunks (utf8_chunks), so
 a write holds the document's texts plus one chunk, not the whole document.
@@ -103,19 +103,20 @@ def timestamped_backup(path: Path) -> Path:
 def _replace_via_temp(path: Path, fill) -> None:
     # The kernel applies the umask to 0o666, as it does for open(); the
     # random name and O_EXCL make the temporary file ours alone.
-    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+    real = os.path.realpath(path)  # a symlink's target is replaced, not the link
+    tmp = f"{real}.{os.urandom(6).hex()}.tmp"
     try:
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         try:
             fill(tmp)
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        if exc.filename not in (None, tmp, str(tmp)):
+        if exc.filename not in (None, tmp):
             raise  # about another file, such as a failed backup: it names that file
         raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc

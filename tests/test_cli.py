@@ -260,6 +260,130 @@ class TestMaintain:
         assert len(reparsed.questions) == 5
 
 
+# No multiple-choice question: set-penalty updates none. Rewriting this
+# bank would drop the truefalse question and the general feedback.
+FOREIGN_NO_CHOICES = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="truefalse">
+    <name><text>tf</text></name>
+    <questiontext format="html"><text>The sky is blue.</text></questiontext>
+    <answer fraction="100"><text>true</text></answer>
+    <answer fraction="0"><text>false</text></answer>
+  </question>
+  <question type="shortanswer">
+    <name><text>capital</text></name>
+    <questiontext format="html"><text>Capital of France?</text></questiontext>
+    <generalfeedback format="html"><text>Paris is the capital.</text></generalfeedback>
+    <answer fraction="100"><text>Paris</text></answer>
+  </question>
+</quiz>
+"""
+
+
+def _own_bank_without_choices():
+    bank = QuestionBank(None, seed=1)
+    bank.addShortAnswer("capital", "Capital of France?", "Paris")
+    bank.addMatching("units", "Match:", [("Flux", "W"), ("Intensity", "W/sr")])
+    return serialize_bank(bank)
+
+
+class TestEditOfNothing:
+    # An in-place edit that reports 0 leaves the bank's file as it was: no
+    # rewrite (which would normalize a foreign bank) and no backup.
+    NO_OPS = {
+        "replace-text": (["replace-text", "no such text", "x"], "replacements: 0\n"),
+        "set-penalty": (["set-penalty", "-20"], "questions updated: 0\n"),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(NO_OPS))
+    @pytest.mark.parametrize("layout", ["own", "foreign"])
+    @pytest.mark.parametrize("out", [None, "same"])
+    def test_in_place_writes_nothing(self, tmp_path, capsys, operation, layout, out):
+        data = _own_bank_without_choices() if layout == "own" else FOREIGN_NO_CHOICES
+        path = tmp_path / "bank.xml"
+        path.write_bytes(data)
+        argv, report = self.NO_OPS[operation]
+        argv = ["maintain", str(path), *argv] + (["--out", str(path)] if out else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
+        assert path.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.xml"]
+
+    @pytest.mark.parametrize("operation", sorted(NO_OPS))
+    def test_out_elsewhere_still_writes(self, tmp_path, capsys, operation):
+        path, out = tmp_path / "bank.xml", tmp_path / "edited.xml"
+        path.write_bytes(_own_bank_without_choices())
+        argv, report = self.NO_OPS[operation]
+        assert main(["maintain", str(path), *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == report
+        assert out.read_bytes() == path.read_bytes()
+
+
+class TestSymlinkedTargets:
+    # A write through a symbolic link replaces the file it points to, next to
+    # which the temporary file is made; the link stays a link.
+    @pytest.fixture
+    def linked_bank(self, bank_file, tmp_path):
+        (tmp_path / "real").mkdir()
+        real = bank_file.rename(tmp_path / "real" / "bank.xml")
+        link = tmp_path / "link.xml"
+        link.symlink_to(Path("real") / "bank.xml")
+        return link, real
+
+    def test_maintain_edits_the_target(self, linked_bank, tmp_path, capsys):
+        link, real = linked_bank
+        before = real.read_bytes()
+        assert main(["maintain", str(link), "set-penalty", "-20"]) == 0
+        [backup] = tmp_path.glob("link.xml.*.bak")
+        assert f"backup: {backup}" in capsys.readouterr().err
+        assert link.is_symlink() and os.readlink(link) == os.path.join("real", "bank.xml")
+        assert b'fraction="-20"' in real.read_bytes()
+        assert backup.read_bytes() == before and not backup.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.xml", backup.name, "real"]
+        assert [p.name for p in real.parent.iterdir()] == ["bank.xml"]
+
+    def test_out_naming_the_target_is_in_place(self, linked_bank, capsys):
+        link, real = linked_bank
+        argv = ["maintain", str(link), "replace-text", "Flux", "F", "--out", str(real)]
+        assert main(argv + ["--no-backup"]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and b"<text><![CDATA[F]]></text>" in real.read_bytes()
+
+    def test_close_through_a_dangling_link_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.xml"
+        link.symlink_to("made.xml")
+        bank = QuestionBank(link)
+        bank.addShortAnswer("", "Q?", "a")
+        bank.close()
+        assert link.is_symlink()
+        assert parse_bank((tmp_path / "made.xml").read_bytes()).questions == bank.questions
+
+    @pytest.mark.parametrize("kind", ["missing directory", "loop"])
+    def test_failed_write_through_a_link_names_the_link(self, tmp_path, kind):
+        link = tmp_path / "link.xml"
+        if kind == "loop":
+            link.symlink_to("other.xml")
+            (tmp_path / "other.xml").symlink_to("link.xml")
+        else:
+            link.symlink_to(Path("missing") / "bank.xml")
+        bank = QuestionBank(link)
+        bank.addShortAnswer("", "Q?", "a")
+        with pytest.raises(quizbank.QuizbankError) as err:
+            bank.close()
+        assert str(err.value).endswith(f": {str(link)!r}")
+        assert link.is_symlink()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_preview_out_through_a_link(self, linked_bank, tmp_path, capsys):
+        link, _ = linked_bank
+        page_link = tmp_path / "page-link.html"
+        page_link.symlink_to("page.html")
+        assert main(["preview", str(link), "--out", str(page_link)]) == 0
+        assert capsys.readouterr().out == f"{page_link}\n"
+        assert page_link.is_symlink()
+        assert "Flux" in (tmp_path / "page.html").read_text(encoding="utf-8")
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
