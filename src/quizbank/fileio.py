@@ -44,7 +44,7 @@ def atomic_write_chunks(path: Path, chunks, before_replace=None) -> None:
         if before_replace is not None:
             before_replace()
 
-    _replace_via_temp(Path(path), fill)
+    _replace_via_temp(path, fill)
 
 
 def utf8_chunks(blocks, fail, legal=None):
