@@ -41,8 +41,8 @@ from .model import (
     validate_category_path,
 )
 
-# Set by the CLI "build" command around the script it runs, to redirect
-# the banks that script creates: {"seed": ..., "out": ...}.
+# Set by the CLI "build" command around the script it runs, to redirect the
+# banks that script creates and list them: {"seed": ..., "out": ..., "banks": [...]}.
 build_overrides: ContextVar[dict | None] = ContextVar("build_overrides", default=None)
 
 
@@ -62,6 +62,7 @@ class QuestionBank:
         overrides = build_overrides.get()
         # Pathless banks (e.g. freshly parsed ones) are not build targets.
         if overrides is not None and output_path is not None:
+            overrides["banks"].append(self)
             if overrides["seed"] is not None:
                 seed = overrides["seed"]
             # Only the first bank takes the --out path.

@@ -143,7 +143,8 @@ def _cmd_build(args) -> int:
     import runpy  # here, not at the top: only build runs scripts and prints tracebacks
     import traceback
 
-    token = bank_module.build_overrides.set({"seed": seed, "out": args.out})
+    overrides = {"seed": seed, "out": args.out, "banks": []}
+    token = bank_module.build_overrides.set(overrides)
     try:
         runpy.run_path(str(script), run_name="__main__")
     except SystemExit as exc:
@@ -155,6 +156,9 @@ def _cmd_build(args) -> int:
         return EXIT_FAILURE
     finally:
         bank_module.build_overrides.reset(token)
+    for bank in overrides["banks"]:
+        if not bank.closed:
+            bank.warn(f"bank {bank.output_path} was never closed; nothing was written")
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """Bank-wide bulk edits: text replacement and penalty rewrites.
 
 Both operations mutate the given bank in place and return how much they
-changed, leaving every untouched field byte-identical after
-re-serialization. They are typically applied to banks loaded with
-parse_bank, either directly or through the command line.
+changed. For a bank in the writer's own layout, every untouched field stays
+byte-identical after re-serialization; a foreign bank is rewritten from the
+model and loses what the model does not hold. They are typically applied to
+banks loaded with parse_bank, either directly or through the command line.
 
 Text replacement keeps the builders' invariants (model.check_question), and
 judges only the questions it changes; see _apply.

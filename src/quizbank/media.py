@@ -120,7 +120,8 @@ def data_uri_payload_bytes(text: str) -> int:
 
 
 def question_media_bytes(question) -> int:
-    """Decoded size of all media embedded in one question's HTML fields."""
+    """Decoded size of all media embedded in one question's stem, choice
+    texts, matching prompts and matches."""
     total = data_uri_payload_bytes(question.stem)
     payload = question.payload
     if isinstance(payload, ChoiceSet):

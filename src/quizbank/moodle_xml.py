@@ -37,8 +37,10 @@ from .model import (
 )
 
 # Category markers use the course-relative form understood by Moodle 3.x
-# importers; the bank-level path "A/B" becomes "$course$/top/A/B".
+# importers; the bank-level path "A/B" becomes "$course$/top/A/B". A path in one of
+# Moodle's other contexts (context_to_string in lib/questionlib.php) is its own marker.
 CATEGORY_PREFIX = "$course$/top"
+_OTHER_CONTEXTS = ("$system$", "$cat$", "$module$")
 
 # XML 1.0 cannot carry the C0 controls but tab and LF (a parser turns CR into
 # LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates.
@@ -97,12 +99,13 @@ _SUBQUESTION = (
 # any foreign "]]>": [^\]]* at C speed, then from a "]" on a lazy scan, which
 # keeps no state per character, as a group repeated once per "]" would.
 _CDATA_BODY = r"([^\]]*(?:\](?s:.)*?)??)"
-_READERS = [
-    _CDATA_BODY.join(re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
-                     for piece in block)
-    for block in ((_CATEGORY,), _QUESTION[:1], (_SHORT_ANSWER,), (_NUMERICAL_ANSWER,), _CHOICE,
-                  _SUBQUESTION)
-]
+_READERS = {  # keyed by block; each type's repeated element by its type name
+    key: _CDATA_BODY.join(re.escape(piece).replace('"%s"', '"([^"<>]*)"').replace("%s", "([^<>]*)")
+                          for piece in block)
+    for key, block in (("category", (_CATEGORY,)), ("head", _QUESTION[:1]),
+                       ("shortanswer", (_SHORT_ANSWER,)), ("numerical", (_NUMERICAL_ANSWER,)),
+                       ("multichoice", _CHOICE), ("matching", _SUBQUESTION))
+}
 # A bank repeats a few fractions in every question: each is converted once, so
 # a read holds one float per distinct fraction, not one per choice.
 _read_fraction = functools.lru_cache(maxsize=256)(float)
@@ -234,6 +237,8 @@ def _document_blocks(bank):
         if question.category != emitted_category:
             emitted_category = question.category
             marker = CATEGORY_PREFIX + (f"/{emitted_category}" if emitted_category else "")
+            if emitted_category.partition("/")[0] in _OTHER_CONTEXTS:  # as a foreign bank gave it
+                marker = emitted_category
             parts.append(_CATEGORY % escape_xml_text(marker))
         _emit_question(parts, question)
         yield parts
@@ -281,59 +286,45 @@ def _parse_own_layout(text: str) -> QuestionBank:
     """Read a legal text that starts like serialize_bank's; raise ValueError at
     the first character off its layout, so that ElementTree reads it instead."""
     # re caches compiled patterns, so only the first parse compiles these.
-    read_category, read_head, read_short, read_numerical, read_choice, read_match = (
-        re.compile(pattern).match for pattern in _READERS
-    )
+    read = {key: re.compile(pattern).match for key, pattern in _READERS.items()}
+    read_category, read_head = read["category"], read["head"]
+    types = {kind: (member, close, read[kind]) for kind, (member, _, close) in _TYPES.items()}
     bank = QuestionBank(output_path=None)
     append, category = bank.questions.append, ""
     pos = len(_DOCUMENT[0])
     while not text.startswith(_DOCUMENT[1], pos):
         head = read_head(text, pos)
-        if head is None or head[1] not in _TYPES:  # a category, or no type of ours
+        if head is None or (found := types.get(head[1])) is None:  # a category, or no type of ours
             block = read_category(text, pos)
             if block is None:
                 raise ValueError("not the writer's layout")
             category = _category_path(_unescape(block[1]))
             pos = block.end()
             continue
-        kind, name = head.groups()
-        (member, _, close), start = _TYPES[kind], head.end()
+        (kind, name), (member, close, read_item), start = head.groups(), found, head.end()
         stop = text.index(close, start)  # a substring search: no stem meets the regex engine
         stem, pos = _uncdata(text[start:stop]), stop + len(close)
+        items = []  # the question's answers, choices or pairs
+        while item := read_item(text, pos):
+            items.append(item)
+            pos = item.end()
         if kind == "shortanswer":
-            answers = []
-            while item := read_short(text, pos):
-                answers.append(_unescape(item[1]) if "&" in item[1] else item[1])
-                pos = item.end()
-            payload = ShortAnswerSet(answers)
+            payload = ShortAnswerSet([_unescape(item[1]) for item in items])
         elif kind == "numerical":
-            values, tolerances = [], set()
-            while item := read_numerical(text, pos):
-                values.append(parse_number(item[1]))  # refuses any entity
-                tolerances.add(item[2])
-                pos = item.end()
+            tolerances = {item[2] for item in items}
             if len(tolerances) > 1:  # ElementTree's path warns about these
                 raise ValueError("differing tolerances")
-            tolerance = parse_number(tolerances.pop()) if tolerances else 0.0
-            payload = NumericalAnswerSet(values, tolerance)
+            tolerance = parse_number(tolerances.pop()) if tolerances else 0.0  # refuses entities
+            payload = NumericalAnswerSet([parse_number(item[1]) for item in items], tolerance)
         elif kind == "multichoice":
-            choices = []
-            while item := read_choice(text, pos):
-                choices.append(Choice(_uncdata(item[2]), _read_fraction(item[1])))
-                pos = item.end()
+            choices = [Choice(_uncdata(item[2]), _read_fraction(item[1])) for item in items]
             payload = ChoiceSet(choices)
         else:
-            pairs = []
-            while item := read_match(text, pos):
-                match = _unescape(item[2]) if "&" in item[2] else item[2]
-                pairs.append((_uncdata(item[1]), match))
-                pos = item.end()
-            payload = MatchPairList(pairs)
+            payload = MatchPairList([(_uncdata(item[1]), _unescape(item[2])) for item in items])
         if not text.startswith(_QUESTION_END, pos):
             raise ValueError("not the writer's layout")
         pos += len(_QUESTION_END)
-        name = _unescape(name) if "&" in name else name
-        append(Question(member, name, stem, payload, category))
+        append(Question(member, _unescape(name), stem, payload, category))
     if pos + len(_DOCUMENT[1]) != len(text):
         raise ValueError("trailing data")
     bank.category = category
@@ -342,6 +333,8 @@ def _parse_own_layout(text: str) -> QuestionBank:
 
 def _unescape(raw: str) -> str:
     """Inverse of escape_xml_text; ValueError on any other entity."""
+    if "&" not in raw:  # one C search costs less than the counts
+        return raw
     if raw.count("&") != raw.count("&amp;") + raw.count("&lt;") + raw.count("&gt;"):
         raise ValueError("foreign entity")
     return raw.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")

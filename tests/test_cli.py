@@ -103,6 +103,23 @@ class TestBuild:
         assert later.output_path == tmp_path / "later.xml"
         assert later.rng.getstate() == random.Random(7).getstate()
 
+    def test_closed_banks_add_no_stderr(self, build_script, tmp_path, capsys):
+        assert main(["build", str(build_script), "--out", str(tmp_path / "x.xml")]) == 0
+        assert capsys.readouterr().err == ""
+
+    CLOSED = "A = QuestionBank('a.xml')\nA.addShortAnswer('', 'Say hi', 'hi')\nA.close()\n"
+
+    @pytest.mark.parametrize("before, files", [("", []), (CLOSED, ["a.xml"])])
+    def test_unclosed_bank_warns_once(self, tmp_path, capsys, monkeypatch, before, files):
+        monkeypatch.chdir(tmp_path)
+        script = "from quizbank import QuestionBank\n" + before
+        script += "B = QuestionBank('never.xml')\nB.addShortAnswer('', 'Say hi', 'hi')\n"
+        (tmp_path / "script.py").write_text(script, encoding="utf-8")
+        assert main(["build", "script.py"]) == 0
+        err = capsys.readouterr().err
+        assert err == "WARN: bank never.xml was never closed; nothing was written\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == files + ["script.py"]
+
 
 class TestStats:
     def test_counts_per_kind_and_category(self, bank_file, capsys):
@@ -317,6 +334,31 @@ class TestEditOfNothing:
         assert main(["maintain", str(path), *argv, "--out", str(out)]) == 0
         assert capsys.readouterr().out == report
         assert out.read_bytes() == path.read_bytes()
+
+
+# A foreign bank whose category lives in another Moodle context than the course.
+FOREIGN_CONTEXT = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="category"><category><text>%s</text></category></question>
+  <question type="shortanswer">
+    <name><text>capital</text></name>
+    <questiontext format="html"><text>Capital of France?</text></questiontext>
+    <answer fraction="100"><text>Paris</text></answer>
+  </question>
+</quiz>
+"""
+
+
+@pytest.mark.parametrize("marker", [b"$system$/top/Shared", b"$cat$/top/Pool", b"$module$/top/Q 1"])
+def test_maintain_keeps_other_context_markers(tmp_path, capsys, marker):
+    path = tmp_path / "bank.xml"
+    path.write_bytes(FOREIGN_CONTEXT % marker)
+    assert main(["maintain", str(path), "replace-text", "Paris", "Lyon", "--no-backup"]) == 0
+    assert capsys.readouterr().out == "replacements: 1\n"
+    data = path.read_bytes()
+    assert b"      <text>%s</text>\n" % marker in data
+    assert b"$course$" not in data and b"Lyon" in data
+    assert parse_bank(data).questions[0].category == marker.decode()
 
 
 class TestSymlinkedTargets:

@@ -118,6 +118,15 @@ class TestSerialize:
         assert "<text>$course$/top/Topic</text>" in text
         assert "<text>$course$/top</text>" in text
 
+    def test_other_context_is_its_own_marker(self, make_bank):
+        bank = make_bank()
+        bank.setCategory("$system$/top/X")
+        bank.addShortAnswer("", "Q?", ["a"])
+        data = serialize_bank(bank)
+        assert b"      <text>$system$/top/X</text>\n" in data
+        assert b"$course$" not in data
+        assert parse_bank(data).questions[0].category == "$system$/top/X"
+
     def test_no_marker_before_default_prefix(self, make_bank):
         bank = make_bank()
         bank.addShortAnswer("", "Q?", ["a"])
@@ -591,7 +600,8 @@ def _question(draw):
     else:
         pairs = st.lists(st.tuples(_HTML_TEXT, _LEGAL_TEXT), max_size=3)
         payload = MatchPairList(draw(pairs))
-    category = draw(st.one_of(st.sampled_from(["", "A", "A/B", "A//B"]), _LEGAL_TEXT))
+    markers = ["", "A", "A/B", "A//B", "$system$/top/Shared", "$module$/top/M", "$course$/X"]
+    category = draw(st.one_of(st.sampled_from(markers), _LEGAL_TEXT))
     return Question(kind, draw(_HTML_TEXT), draw(_HTML_TEXT), payload, category)
 
 
@@ -617,6 +627,9 @@ _EDITS = [
     lambda d: d.replace(b'fraction="100"', b'fraction="lots"', 1),
     lambda d: d + b"\n",
     lambda d: d + b"x",
+    lambda d: d.replace(b"<text>$course$/top", b"<text>$system$/top", 1),
+    lambda d: d.replace(b"<text>$course$/top", b"<text>$module$/top", 1),
+    lambda d: d.replace(b"<text>$course$/top/", b"<text>$course$/", 1),
 ]
 
 
