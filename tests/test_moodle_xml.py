@@ -600,8 +600,8 @@ def _question(draw):
     else:
         pairs = st.lists(st.tuples(_HTML_TEXT, _LEGAL_TEXT), max_size=3)
         payload = MatchPairList(draw(pairs))
-    markers = ["", "A", "A/B", "A//B", "$system$/top/Shared", "$module$/top/M", "$course$/X"]
-    category = draw(st.one_of(st.sampled_from(markers), _LEGAL_TEXT))
+    categories = ["", "A", "A/B", "A//B", "$system$/top/Shared", "$module$/top/M", "$course$/X"]
+    category = draw(st.one_of(st.sampled_from(categories), _LEGAL_TEXT))
     return Question(kind, draw(_HTML_TEXT), draw(_HTML_TEXT), payload, category)
 
 
