@@ -353,10 +353,10 @@ def _uncdata(raw: str) -> str:
 
 def _category_path(marker: str) -> str:
     raw = marker.strip()
-    if raw == CATEGORY_PREFIX or raw.startswith(CATEGORY_PREFIX + "/"):
-        raw = raw[len(CATEGORY_PREFIX):]
-    elif raw.startswith("$course$/"):
-        raw = raw[len("$course$/"):]
+    for prefix in (CATEGORY_PREFIX, "$course$"):  # either alone is the course's default
+        if raw == prefix or raw.startswith(prefix + "/"):
+            raw = raw[len(prefix):]
+            break
     # Collapse accidental empty segments from foreign files.
     return "/".join(segment for segment in raw.split("/") if segment)
 

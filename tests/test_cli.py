@@ -361,6 +361,18 @@ def test_maintain_keeps_other_context_markers(tmp_path, capsys, marker):
     assert parse_bank(data).questions[0].category == marker.decode()
 
 
+def test_bare_course_marker_is_the_default_category(tmp_path, capsys):
+    # Read by ElementTree, "$course$" alone is the course's default, as "$course$/top" is.
+    path = tmp_path / "bank.xml"
+    path.write_bytes(FOREIGN_CONTEXT % b"$course$")
+    assert parse_bank(path.read_bytes()).questions[0].category == ""
+    assert main(["maintain", str(path), "replace-text", "Paris", "Lyon", "--no-backup"]) == 0
+    assert capsys.readouterr().out == "replacements: 1\n"
+    assert b"$course$" not in path.read_bytes()  # the default needs no marker
+    assert main(["stats", str(path)]) == 0
+    assert "categories:\n  (default): 1\n" in capsys.readouterr().out
+
+
 class TestSymlinkedTargets:
     # A write through a symbolic link replaces the file it points to, next to
     # which the temporary file is made; the link stays a link.
@@ -800,10 +812,12 @@ class TestFileModes:
     def test_maintained_bank_and_backup_keep_the_bank_mode(self, bank_file, capsys):
         bank_file.chmod(0o640)
         with _umask(0o022):
-            assert main(["maintain", str(bank_file), "set-penalty", "-25"]) == 0
+            for edit in (["set-penalty", "-25"], ["replace-text", "Flux", "Radiant flux"]):
+                assert main(["maintain", str(bank_file), *edit]) == 0
         capsys.readouterr()
-        [backup] = bank_file.parent.glob("fixture.xml.*.bak")
-        assert (_mode(bank_file), _mode(backup)) == (0o640, 0o640)
+        backups = list(bank_file.parent.glob("fixture.xml.*.bak"))
+        assert len(backups) == 2
+        assert [_mode(path) for path in (bank_file, *backups)] == [0o640] * 3
 
     def test_default_preview_stays_owner_only(self, bank_file, capsys):
         with _umask(0o022):

@@ -630,6 +630,7 @@ _EDITS = [
     lambda d: d.replace(b"<text>$course$/top", b"<text>$system$/top", 1),
     lambda d: d.replace(b"<text>$course$/top", b"<text>$module$/top", 1),
     lambda d: d.replace(b"<text>$course$/top/", b"<text>$course$/", 1),
+    lambda d: re.sub(rb"<text>\$course\$/top[^<]*", b"<text>$course$", d, count=1),
 ]
 
 

@@ -14,9 +14,10 @@ interpreter that runs this tool (pytest, hypothesis and what they import)
 are linked, each with its dist-info, into a temporary directory that goes
 on PYTHONPATH after src; the dist-info carries the entry point of hypothesis's pytest
 plugin. Bytecode goes to a temporary PYTHONPYCACHEPREFIX, so nothing is
-written beside the linked packages. An interpreter that cannot import
-pytest from them (one that needs a backport the running interpreter does
-not have) is reported as not run.
+written beside the linked packages. An interpreter that does not start
+(such as a version manager's shim for a version not installed) is reported
+as not run, and one that starts but cannot import pytest from them (one
+that needs a backport the running interpreter does not have) by its version.
 
 Prints one line per step and exits 1 if an interpreter was not run or a
 step failed.
@@ -71,16 +72,20 @@ def run_checks(python: str, packages: Path, pycache: Path) -> bool:
                PYTHONPYCACHEPREFIX=str(pycache))
     try:
         probe = subprocess.run(
-            [python, "-c", "import sys, pytest; print(sys.version.split()[0])"],
+            [python, "-c", "import sys; print(sys.version.split()[0]); import pytest"],
             cwd=ROOT, env=env, capture_output=True, text=True,
         )
     except OSError as exc:
         print(f"{python}: not run: {exc}")
         return False
-    if probe.returncode:
-        print(f"{python}: not run: cannot import pytest: {last_line(probe.stderr)}")
+    version = probe.stdout.strip()
+    if not version:
+        print(f"{python}: not run: cannot start: {last_line(probe.stderr)}")
         return False
-    print(f"{python}: Python {probe.stdout.strip()}")
+    if probe.returncode:
+        print(f"{python}: Python {version}: cannot import pytest: {last_line(probe.stderr)}")
+        return False
+    print(f"{python}: Python {version}")
     passed = True
     for label, arguments in STEPS:
         result = subprocess.run(
