@@ -30,7 +30,7 @@ def replace_text(bank, old: str, new: str) -> int:
     Touches names, stems, choice texts, short answers and matching texts;
     numerical answer values and tolerances are numbers, not text, and are
     deliberately exempt. Matching is literal and case-sensitive. Returns
-    the number of occurrences replaced.
+    the number of occurrences in the texts it changed.
     """
     if not isinstance(old, str) or not old:
         raise ValidationError("the text to replace must be a non-empty string")
@@ -45,7 +45,7 @@ def replace_text(bank, old: str, new: str) -> int:
 
 
 def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
-    """Regular-expression variant of replace_text (used by the CLI --regex flag)."""
+    """replace_text by regular expression (CLI --regex): occurrences in the texts it changed."""
     try:
         compiled = re.compile(pattern)
         # Checks the replacement's group references before any text changes.
@@ -95,8 +95,8 @@ def _apply(bank, substitute) -> int:
     for index, question in enumerate(bank.questions, start=1):
         texts = question_texts(question)
         new_texts, count = substitute(texts)
-        total += count
         if count and new_texts != texts:
+            total += count
             edited.append((question, texts))
             set_question_texts(question, new_texts)
             try:

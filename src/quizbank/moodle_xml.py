@@ -215,13 +215,28 @@ def parse_bank(data) -> QuestionBank:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
         name = element.findtext("name/text") or ""
+        single = element.findtext("single", "").strip().lower()
+        if qtype == "multichoice" and single in ("0", "false"):
+            bank.warn(f"skipping multi-select multiple-choice question {name!r} "
+                      "(only single-answer questions are supported)")
+            continue
+        if qtype == "matching":
+            items = [(sub, sub.findtext("text") or "", sub.findtext("answer/text") or "")
+                     for sub in element.findall("subquestion")]
+        elif qtype == "multichoice":
+            items = [(ans, ans.get("fraction", "0"), ans.findtext("text") or "")
+                     for ans in element.findall("answer")]
+        else:  # a short answer's text, or a numerical answer's value and any tolerance
+            default = "0" if qtype == "numerical" else ""
+            items = [(ans, ans.findtext("text") or default, ans.findtext("tolerance"))
+                     for ans in element.findall("answer")]
         try:
-            payload = _parse_payload(element, qtype, name, bank)
+            payload = _payload(qtype, items, str, str,
+                               lambda message: bank.warn(f"question {name!r}: {message}"))
         except ValueError as exc:
             raise BankParseError(f"question #{number}: {exc}") from exc
-        if payload is not None:
-            stem = element.findtext("questiontext/text") or ""
-            bank.questions.append(Question(_TYPES[qtype][0], name, stem, payload, bank.category))
+        stem = element.findtext("questiontext/text") or ""
+        bank.questions.append(Question(_TYPES[qtype][0], name, stem, payload, bank.category))
     return bank
 
 
@@ -308,19 +323,7 @@ def _parse_own_layout(text: str) -> QuestionBank:
         while item := read_item(text, pos):
             items.append(item)
             pos = item.end()
-        if kind == "shortanswer":
-            payload = ShortAnswerSet([_unescape(item[1]) for item in items])
-        elif kind == "numerical":
-            tolerances = {item[2] for item in items}
-            if len(tolerances) > 1:  # ElementTree's path warns about these
-                raise ValueError("differing tolerances")
-            tolerance = parse_number(tolerances.pop()) if tolerances else 0.0  # refuses entities
-            payload = NumericalAnswerSet([parse_number(item[1]) for item in items], tolerance)
-        elif kind == "multichoice":
-            choices = [Choice(_uncdata(item[2]), _read_fraction(item[1])) for item in items]
-            payload = ChoiceSet(choices)
-        else:
-            payload = MatchPairList([(_uncdata(item[1]), _unescape(item[2])) for item in items])
+        payload = _payload(kind, items, _unescape, _uncdata, _leave_layout)
         if not text.startswith(_QUESTION_END, pos):
             raise ValueError("not the writer's layout")
         pos += len(_QUESTION_END)
@@ -361,41 +364,28 @@ def _category_path(marker: str) -> str:
     return "/".join(segment for segment in raw.split("/") if segment)
 
 
-def _parse_payload(element, qtype, name, bank):
-    """A supported foreign question's payload; None for a skipped multi-select one."""
-    answers = element.findall("answer")
-    if qtype == "shortanswer":
-        return ShortAnswerSet([ans.findtext("text") or "" for ans in answers])
-    if qtype == "numerical":
-        values = []
-        tolerance = 0.0
-        for position, ans in enumerate(answers):
-            values.append(parse_number(ans.findtext("text") or "0"))
-            tol_text = ans.findtext("tolerance")
-            if tol_text is not None:
-                parsed = parse_number(tol_text)
-                if position == 0:
-                    tolerance = parsed
-                elif parsed != tolerance:
-                    bank.warn(
-                        f"question {name!r}: answers carry differing tolerances; "
-                        f"keeping {tolerance}"
-                    )
-        return NumericalAnswerSet(values, tolerance)
-    if qtype == "multichoice":
-        single = (element.findtext("single") or "true").strip().lower()
-        if single in ("false", "0"):
-            bank.warn(
-                f"skipping multi-select multiple-choice question {name!r} "
-                "(only single-answer questions are supported)"
-            )
-            return None
-        return ChoiceSet([
-            Choice(ans.findtext("text") or "", float(ans.get("fraction", "0")))
-            for ans in answers
-        ])
-    # Matching, the last of the supported types parse_bank lets through.
-    return MatchPairList([
-        (sub.findtext("text") or "", sub.findtext("answer/text") or "")
-        for sub in element.findall("subquestion")
-    ])
+def _payload(kind, items, unescape, uncdata, warn):
+    """A payload from items that hold their fields where the direct reader's groups
+    do: (_, text), (_, value, tolerance or None), (_, fraction, text), (_, prompt, match).
+    unescape and uncdata decode plain and CDATA texts; warn hears of a tolerance off the
+    first answer's, which is kept. Numbers parse answer by answer, value first."""
+    if kind == "shortanswer":
+        return ShortAnswerSet([unescape(item[1]) for item in items])
+    if kind == "multichoice":
+        return ChoiceSet([Choice(uncdata(item[2]), _read_fraction(item[1])) for item in items])
+    if kind == "matching":
+        return MatchPairList([(uncdata(item[1]), unescape(item[2])) for item in items])
+    values, tolerance = [], 0.0
+    for position, item in enumerate(items):
+        values.append(parse_number(item[1]))  # refuses entities, so no unescape
+        if item[2] is not None:
+            parsed = parse_number(item[2])
+            if position == 0:
+                tolerance = parsed
+            elif parsed != tolerance:
+                warn(f"answers carry differing tolerances; keeping {tolerance}")
+    return NumericalAnswerSet(values, tolerance)
+
+
+def _leave_layout(message):  # the direct reader's warn: ElementTree re-reads and warns once
+    raise ValueError(message)

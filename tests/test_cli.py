@@ -335,6 +335,20 @@ class TestEditOfNothing:
         assert capsys.readouterr().out == report
         assert out.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv", [["Q?", "Q?"], ["--regex", r"\((a)\)", r"(\1)"]], ids=["literal", "regex"]
+    )
+    def test_identity_replacement_writes_nothing(self, tmp_path, capsys, argv):
+        # Matches whose replacement is the matched text itself change nothing.
+        bank = QuestionBank(None)
+        bank.addShortAnswer("same", "Q? and Q?", "(a)")
+        path = tmp_path / "bank.xml"
+        path.write_bytes(data := serialize_bank(bank))
+        assert main(["maintain", str(path), "replace-text", *argv]) == 0
+        assert capsys.readouterr().out == "replacements: 0\n"
+        assert path.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.xml"]
+
 
 # A foreign bank whose category lives in another Moodle context than the course.
 FOREIGN_CONTEXT = b"""<?xml version="1.0" encoding="UTF-8"?>

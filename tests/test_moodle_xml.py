@@ -429,6 +429,88 @@ class TestParse:
         assert recovered.questions[0].payload.answers == [1 / 3, -2.0]
 
 
+def _foreign_question(qtype, body, name="n"):
+    """A hand-written foreign bank of one question, which ElementTree reads."""
+    return (
+        f'<quiz><question type="{qtype}"><name><text>{name}</text></name>'
+        f"<questiontext><text>Q?</text></questiontext>{body}</question></quiz>"
+    )
+
+
+class TestForeignPayloadRules:
+    """What ElementTree makes of answers the writer never emits, spelled out."""
+
+    def test_first_answer_tolerance_is_kept(self):
+        bank = parse_bank(_foreign_question(
+            "numerical",
+            "<answer><text>1</text><tolerance>0.01</tolerance></answer>"
+            "<answer><text>2</text><tolerance>1</tolerance></answer>",
+        ))
+        assert bank.questions[0].payload.tolerance == 0.01
+        assert bank.warnings == [
+            "question 'n': answers carry differing tolerances; keeping 0.01"
+        ]
+
+    def test_first_answer_without_tolerance_keeps_zero(self):
+        bank = parse_bank(_foreign_question(
+            "numerical",
+            "<answer><text>1</text></answer>"
+            "<answer><text>2</text><tolerance>0.5</tolerance></answer>",
+        ))
+        assert repr(bank.questions[0].payload.tolerance) == "0.0"
+        assert bank.warnings == [
+            "question 'n': answers carry differing tolerances; keeping 0.0"
+        ]
+
+    def test_numerical_answer_without_text_is_zero(self):
+        bank = parse_bank(_foreign_question("numerical", "<answer><tolerance>1</tolerance></answer>"))
+        assert [repr(value) for value in bank.questions[0].payload.answers] == ["0"]
+        assert bank.warnings == []
+
+    @pytest.mark.parametrize("answers", [
+        "<answer><text>x</text><tolerance>1</tolerance></answer>"
+        "<answer><text>2</text><tolerance>y</tolerance></answer>",
+        "<answer><text>x</text><tolerance>y</tolerance></answer>",
+    ], ids=["answer-order", "value-first"])
+    def test_numbers_parse_in_answer_order_value_first(self, answers):
+        with pytest.raises(BankParseError) as err:
+            parse_bank(_foreign_question("numerical", answers))
+        assert str(err.value) == "question #1: could not convert string to float: 'x'"
+
+    def test_choice_without_fraction_or_text(self):
+        bank = parse_bank(_foreign_question(
+            "multichoice",
+            '<answer><text>a</text></answer><answer fraction="100"></answer>',
+        ))
+        choices = bank.questions[0].payload.choices
+        assert [(c.text, repr(c.fraction)) for c in choices] == [("a", "0.0"), ("", "100.0")]
+
+    @pytest.mark.parametrize("single", ["0", " False "])
+    def test_multi_select_spellings_are_skipped(self, single):
+        bank = parse_bank(_foreign_question(
+            "multichoice",
+            f'<single>{single}</single><answer fraction="100"><text>a</text></answer>',
+            name="multi",
+        ))
+        assert bank.questions == []
+        assert bank.warnings == [
+            "skipping multi-select multiple-choice question 'multi' "
+            "(only single-answer questions are supported)"
+        ]
+
+    def test_missing_match_and_short_answer_texts(self):
+        matching = parse_bank(_foreign_question(
+            "matching",
+            "<subquestion><text>p</text></subquestion>"
+            "<subquestion><text>q</text><answer><text>b</text></answer></subquestion>",
+        ))
+        assert matching.questions[0].payload.pairs == [("p", ""), ("q", "b")]
+        short = parse_bank(_foreign_question(
+            "shortanswer", '<answer fraction="100"></answer><answer><text>a</text></answer>'
+        ))
+        assert short.questions[0].payload.answers == ["", "a"]
+
+
 class TestRepeatedRoundTrips:
     def test_three_cycles_are_stable(self, make_bank):
         bank = build_rich_bank(make_bank(seed=3))
