@@ -18,7 +18,7 @@ from .errors import QuizbankError, ValidationError
 # Writes stream, so atomic_write_bytes and serialize_bank go unused here;
 # benchmarks/tracing.py wraps them by these names.
 from .fileio import atomic_write_bytes, atomic_write_chunks, timestamped_backup  # noqa: F401
-from .maintenance import replace_text, replace_text_pattern, set_wrong_penalty
+from .maintenance import penalty_changes, replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
 from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
 from .preview import render_preview, render_temp_preview
@@ -200,6 +200,7 @@ def _cmd_preview(args) -> int:
 
 def _cmd_maintain(args) -> int:
     bank = _load_bank(args.bank)
+    changed = args.operation == "replace-text" or penalty_changes(bank, args.fraction)
     if args.operation == "replace-text":
         replace = replace_text_pattern if args.regex else replace_text
         count, report = replace(bank, args.old, args.new), "replacements: %d"
@@ -207,7 +208,7 @@ def _cmd_maintain(args) -> int:
         count, report = set_wrong_penalty(bank, args.fraction), "questions updated: %d"
     target, backup = args.out, None
     if target is None or (target.exists() and os.path.samefile(target, args.bank)):
-        target = args.bank if count else None  # in place, by any spelling; a no-op writes nothing
+        target = args.bank if count and changed else None  # in place; a no-op writes nothing
         if not args.no_backup:
             def backup():  # once the edited bank is on file whole, before the rename
                 print(f"backup: {timestamped_backup(target)}", file=sys.stderr)

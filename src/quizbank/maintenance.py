@@ -73,17 +73,22 @@ def set_wrong_penalty(bank, fraction) -> int:
     if not -100 <= fraction <= 0:
         raise ValidationError(f"penalty fraction must lie between -100 and 0, got {fraction}")
     value = round(float(fraction), 5)
-    touched = 0
-    for question in bank.questions:
-        if question.kind is not QuestionKind.MULTIPLE_CHOICE:
-            continue
-        wrong = [c for c in question.payload.choices if c.fraction <= 0]
-        if not wrong:
-            continue
-        for choice in wrong:
-            choice.fraction = value
-        touched += 1
-    return touched
+    wrong = list(_wrong_choices(bank))
+    for choice in [choice for choices in wrong for choice in choices]:
+        choice.fraction = value
+    return sum(1 for choices in wrong if choices)
+
+
+def penalty_changes(bank, fraction) -> bool:
+    """Whether set_wrong_penalty(bank, fraction) would change any fraction."""
+    value = round(float(fraction), 5)
+    return any(choice.fraction != value for choices in _wrong_choices(bank) for choice in choices)
+
+
+def _wrong_choices(bank):
+    """One list of wrong alternatives per multiple-choice question, each made when read."""
+    mcqs = (q.payload.choices for q in bank.questions if q.kind is QuestionKind.MULTIPLE_CHOICE)
+    return ([choice for choice in choices if choice.fraction <= 0] for choices in mcqs)
 
 
 def _apply(bank, substitute) -> int:

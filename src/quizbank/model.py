@@ -153,8 +153,9 @@ _CONTAINERS = frozenset({tuple, list})  # cheaper to test than a (tuple, list) b
 
 
 def render_text(value, _enclosing=()) -> str:
-    """Canonical text of a choice/answer/key/name value: ``str(value)``
-    with every ``\\r\\n`` and ``\\r`` turned into ``\\n``.
+    """Canonical text of a choice/answer/key/name value: ``str(value)``, an
+    exact str, with every ``\\r\\n`` and ``\\r`` turned into ``\\n``. A text
+    without ``\\r`` (one memchr pass) is ``str(value)`` itself.
 
     XML parsers turn both line breaks into LF, so every duplicate and
     capacity check compares texts in this form, and the output round-trips
@@ -171,7 +172,8 @@ def render_text(value, _enclosing=()) -> str:
             shown.append(repr(item) if isinstance(item, str) else render_text(item, inner))
         shown = ", ".join(shown) + ("," if type(value) is tuple and len(value) == 1 else "")
         value = f"[{shown}]" if type(value) is list else f"({shown})"
-    return str(value).replace("\r\n", "\n").replace("\r", "\n")
+    text = str(value)  # the argument itself if it is an exact str
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def normalize(text: str) -> str:

@@ -116,9 +116,13 @@ def escape_for_cdata(text: str) -> str:
 
     The only hazard is the terminator "]]>", which is split across two
     adjacent CDATA sections; everything else (including LaTeX delimiters
-    and raw HTML) passes through byte-identical.
+    and raw HTML) passes through byte-identical, and a text without "]]>"
+    is returned as it is. The slow substring search runs only from its
+    first "]" to its last, found by memchr and memrchr.
     """
-    return text.replace("]]>", "]]]]><![CDATA[>")
+    if "]" in text and text.find("]]>", text.find("]"), text.rfind("]") + 2) >= 0:
+        return text.replace("]]>", "]]]]><![CDATA[>")
+    return text
 
 
 def escape_xml_text(text: str) -> str:
@@ -174,7 +178,7 @@ def parse_bank(data) -> QuestionBank:
         except UnicodeDecodeError:
             text = ""
         if text.startswith(_DOCUMENT[0]) and _xml_legal(text, data):
-            del data  # frees the bytes of a temporary argument (CPython 3.11+) while parsing
+            del data  # frees the bytes of a temporary argument while parsing
             try:
                 return _parse_own_layout(text)
             except ValueError:
@@ -346,8 +350,8 @@ def _unescape(raw: str) -> str:
 def _uncdata(raw: str) -> str:
     """Undo escape_for_cdata's splits in a CDATA text. Any other "]]>" ends
     the section there, off the writer's layout: ValueError."""
-    if "]]>" not in raw:
-        return raw
+    if "]" not in raw or raw.find("]]>", raw.find("]"), raw.rfind("]") + 2) < 0:
+        return raw  # found as escape_for_cdata finds it
     parts = raw.split("]]]]><![CDATA[>")
     if any("]]>" in part for part in parts):
         raise ValueError("CDATA not split by the writer")

@@ -199,8 +199,8 @@ class TestMaintain:
             for pair in q.payload.pairs
         )
         monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")  # one second
-        for _ in range(2):
-            assert main(["maintain", str(bank_file), "set-penalty", "-20"]) == 0
+        for penalty in ("-20", "-30"):  # two edits that each change a fraction
+            assert main(["maintain", str(bank_file), "set-penalty", penalty]) == 0
         stamped = sorted(path.name for path in bank_file.parent.glob("*20260101-000000*"))
         assert stamped == ["fixture.xml.20260101-000000-1.bak", "fixture.xml.20260101-000000.bak"]
 
@@ -334,6 +334,26 @@ class TestEditOfNothing:
         assert main(["maintain", str(path), *argv, "--out", str(out)]) == 0
         assert capsys.readouterr().out == report
         assert out.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("penalty", ["-50", "-50.000001"])  # both round to -50
+    @pytest.mark.parametrize("out", [None, "same"])
+    def test_unchanged_penalty_writes_nothing(self, tmp_path, capsys, penalty, out):
+        # The report still counts the question; no fraction changes, so no write.
+        bank = QuestionBank(None)
+        bank.addMultipleChoice("pick", "Pick one:", ["a", "b", "c"])  # wrong choices at -50
+        path = tmp_path / "bank.xml"
+        path.write_bytes(data := serialize_bank(bank))
+        os.utime(path, ns=(10**18, 10**18))
+        argv = ["maintain", str(path), "set-penalty", penalty] + (["--out", str(path)] if out else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "questions updated: 1\n"
+        assert path.read_bytes() == data and path.stat().st_mtime_ns == 10**18
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.xml"]
+        assert main(["maintain", str(path), "set-penalty", "-50", "--out", str(tmp_path / "e.xml")]) == 0
+        assert (tmp_path / "e.xml").read_bytes() == data  # elsewhere: written as before
+        assert main(["maintain", str(path), "set-penalty", "-49.99999"]) == 0
+        assert b'fraction="-49.99999"' in path.read_bytes()
+        assert len(list(tmp_path.glob("bank.xml.*.bak"))) == 1
 
     @pytest.mark.parametrize(
         "argv", [["Q?", "Q?"], ["--regex", r"\((a)\)", r"(\1)"]], ids=["literal", "regex"]

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quizbank import (
     QuestionBank,
@@ -13,6 +15,7 @@ from quizbank import (
     serialize_bank,
     set_wrong_penalty,
 )
+from quizbank.maintenance import penalty_changes
 
 
 
@@ -193,6 +196,24 @@ class TestSetWrongPenalty:
         with pytest.raises(ValidationError):
             set_wrong_penalty(rich_bank, bad)
         assert serialize_bank(rich_bank) == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.sampled_from([0.0, -20.0, -100.0 / 3, -50.0])),
+                 max_size=4),
+        st.one_of(st.sampled_from([0, -20, -33.33333, -100.0 / 3, -50.000001]),
+                  st.floats(-100, 0)),
+    )
+    def test_penalty_changes_exactly_when_the_bytes_do(self, questions, fraction):
+        # On a read bank, whose fractions lie on the 5-decimal grid.
+        bank = QuestionBank(None)
+        for index, (wrong_count, wrong) in enumerate(questions):
+            bank.wrong_fraction_rule = lambda count, wrong=wrong: wrong
+            bank.addMultipleChoice(f"q{index}", "Pick:", [f"c{i}" for i in range(wrong_count + 1)])
+        bank = parse_bank(before := serialize_bank(bank))
+        changes = penalty_changes(bank, fraction)
+        assert set_wrong_penalty(bank, fraction) == len(questions)
+        assert changes == (serialize_bank(bank) != before)
 
     def test_partial_credit_kept_on_foreign_bank(self):
         bank = parse_bank(FOREIGN_PARTIAL_CREDIT)

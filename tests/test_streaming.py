@@ -7,7 +7,6 @@ import base64
 import html
 import itertools
 import random
-import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -171,13 +170,6 @@ def _traced_peak(function):
         tracemalloc.stop()
 
 
-_FREES_TEMPORARY_ARGUMENTS = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's frame keeps a temporary argument alive, "
-    "so parse_bank cannot free the file's bytes while it parses",
-)
-
-
 class TestMemory:
     def test_serialize_bank_peaks_below_twice_its_output(self):
         bank = _media_bank(3)
@@ -194,7 +186,6 @@ class TestMemory:
             assert path.stat().st_size > count * 10_000_000
         assert peaks[1] - peaks[0] < 1 << 20
 
-    @_FREES_TEMPORARY_ARGUMENTS
     def test_stats_holds_the_text_and_fields_not_the_bytes(self, tmp_path, capsys):
         path = tmp_path / "bank.xml"
         atomic_write_chunks(path, serialize_chunks(_media_bank(3)))
@@ -204,7 +195,6 @@ class TestMemory:
         assert "questions: 3" in capsys.readouterr().out
         assert peak < 2 * size + (1 << 20)
 
-    @_FREES_TEMPORARY_ARGUMENTS
     @pytest.mark.parametrize("before", [b"<quiz>", b"</quiz>"])
     def test_stats_of_a_foreign_layout_does_not_keep_the_text(self, tmp_path, capsys, before):
         """A comment at the start fails the layout check, one at the end fails

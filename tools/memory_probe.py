@@ -16,8 +16,7 @@ probe prints each command's peak and exits 1 if one fails or peaks above
 where the 1 MiB covers what a command needs beyond the import whatever the
 bank's size (its argument parser, compiled patterns, small objects). Reading
 a bank holds its text and its fields, so stats, maintain and preview sit
-near floor + 2 x fields. Before Python 3.11 they also hold the file's bytes
-and go above the bound.
+near floor + 2 x fields.
 
 This process holds no large data itself: Linux folds the peak of the
 process that forks a child into that child's ru_maxrss.
