@@ -200,15 +200,16 @@ def _cmd_preview(args) -> int:
 
 def _cmd_maintain(args) -> int:
     bank = _load_bank(args.bank)
-    changed = args.operation == "replace-text" or penalty_changes(bank, args.fraction)
     if args.operation == "replace-text":
         replace = replace_text_pattern if args.regex else replace_text
         count, report = replace(bank, args.old, args.new), "replacements: %d"
+        changed = count
     else:
+        changed = penalty_changes(bank, args.fraction)
         count, report = set_wrong_penalty(bank, args.fraction), "questions updated: %d"
     target, backup = args.out, None
     if target is None or (target.exists() and os.path.samefile(target, args.bank)):
-        target = args.bank if count and changed else None  # in place; a no-op writes nothing
+        target = args.bank if changed else None  # in place; a no-op writes nothing
         if not args.no_backup:
             def backup():  # once the edited bank is on file whole, before the rename
                 print(f"backup: {timestamped_backup(target)}", file=sys.stderr)

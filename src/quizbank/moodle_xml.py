@@ -116,13 +116,12 @@ def escape_for_cdata(text: str) -> str:
 
     The only hazard is the terminator "]]>", which is split across two
     adjacent CDATA sections; everything else (including LaTeX delimiters
-    and raw HTML) passes through byte-identical, and a text without "]]>"
-    is returned as it is. The slow substring search runs only from its
-    first "]" to its last, found by memchr and memrchr.
+    and raw HTML) passes through byte-identical. A text without "]" (one
+    memchr pass) or without "]]>" comes back as str(text), itself if exact.
     """
-    if "]" in text and text.find("]]>", text.find("]"), text.rfind("]") + 2) >= 0:
+    if "]" in text and "]]>" in text:
         return text.replace("]]>", "]]]]><![CDATA[>")
-    return text
+    return str(text)
 
 
 def escape_xml_text(text: str) -> str:
@@ -350,8 +349,8 @@ def _unescape(raw: str) -> str:
 def _uncdata(raw: str) -> str:
     """Undo escape_for_cdata's splits in a CDATA text. Any other "]]>" ends
     the section there, off the writer's layout: ValueError."""
-    if "]" not in raw or raw.find("]]>", raw.find("]"), raw.rfind("]") + 2) < 0:
-        return raw  # found as escape_for_cdata finds it
+    if "]" not in raw or "]]>" not in raw:
+        return raw
     parts = raw.split("]]]]><![CDATA[>")
     if any("]]>" in part for part in parts):
         raise ValueError("CDATA not split by the writer")
