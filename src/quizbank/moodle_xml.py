@@ -119,7 +119,7 @@ def escape_for_cdata(text: str) -> str:
     and raw HTML) passes through byte-identical. A text without "]" (one
     memchr pass) or without "]]>" comes back as str(text), itself if exact.
     """
-    if "]" in text and "]]>" in text:
+    if "]" in text:  # replace makes no copy when it finds no "]]>"
         return text.replace("]]>", "]]]]><![CDATA[>")
     return str(text)
 
