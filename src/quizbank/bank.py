@@ -35,10 +35,12 @@ from .model import (
     Question,
     QuestionKind,
     ShortAnswerSet,
+    as_values,
     check_question,
     graded_choices,
     render_text,
     validate_category_path,
+    value_pairs,
 )
 
 # Set by the CLI "build" command around the script it runs, to redirect the
@@ -93,34 +95,31 @@ class QuestionBank:
         self.category = validate_category_path(path)
 
     def addShortAnswer(self, name, question, answers) -> None:
-        """Append a short-answer question accepting any of ``answers``.
-
-        A single string is promoted to a one-element list. All accepted
-        answers are graded +100 and compared by the LMS as plain strings.
-        """
-        texts = [render_text(a) for a in _as_answer_list(answers)]
+        """Append a short-answer question accepting any of ``answers`` (a str is one,
+        a set is sorted: model.as_values), graded +100 and compared as plain strings."""
+        texts = [render_text(a) for a in as_values(answers)]
         self._append(QuestionKind.SHORT_ANSWER, name, question, ShortAnswerSet(texts))
 
     def addNumerical(self, name, question, answers, tolerance=0.01) -> None:
-        """Append a numerical question accepting each answer within ±tolerance."""
-        payload = NumericalAnswerSet(_as_answer_list(answers), tolerance)
+        """Append a numerical question accepting each of ``answers`` within ±tolerance."""
+        payload = NumericalAnswerSet(as_values(answers), tolerance)
         self._append(QuestionKind.NUMERICAL, name, question, payload)
         payload.tolerance = float(tolerance)  # checked finite above
 
     def addMultipleChoice(self, name, question, choices) -> None:
         """Append a single-answer multiple-choice question.
 
-        The first element of ``choices`` is the correct one (graded +100);
-        the rest receive the bank's wrong-answer fraction. Values are
-        rendered with str(), line breaks as LF. If two choices render to
-        the same trimmed text the question is rejected with a warning and
-        the bank is left unchanged.
+        ``choices`` is read in order (a set is refused, a str is one value).
+        The first value is the correct one (graded +100); the rest receive
+        the bank's wrong-answer fraction. Values are rendered with str(),
+        line breaks as LF. If two choices render to the same trimmed text
+        the question is rejected with a warning and the bank is unchanged.
         """
         if isinstance(choices, (set, frozenset)):
             raise ValidationError(
                 "choices must be an ordered sequence (the first element is the correct one)"
             )
-        texts = [render_text(c) for c in choices]
+        texts = [render_text(c) for c in as_values(choices)]
         # The rule is only defined for k >= 2; fewer choices fail the check.
         wrong = self.wrong_fraction_rule(len(texts)) if len(texts) > 1 else 0.0
         try:
@@ -129,12 +128,12 @@ class QuestionBank:
             self.warn(f"{exc}; question {name!r} not added")
 
     def addMatching(self, name, question, pairs) -> None:
-        """Append a matching question from (prompt, match) pairs.
+        """Append a matching question from (prompt, match) pairs, e.g. ``dict.items()``.
 
         Prompts must be pairwise distinct; matches may repeat (the LMS
         merges repeated matches into one drop-down entry).
         """
-        rendered = [(render_text(p), render_text(m)) for p, m in pairs]
+        rendered = value_pairs(pairs)
         self._append(QuestionKind.MATCHING, name, question, MatchPairList(rendered))
 
     # -- random generation (pool-based) --------------------------------------
@@ -204,13 +203,4 @@ class QuestionBank:
         built = Question(kind, render_text(name), stem, payload, self.category)
         check_question(built)
         self.questions.append(built)
-
-
-def _as_answer_list(answers) -> list:
-    """Promote a scalar answer to a list; order set inputs deterministically."""
-    if isinstance(answers, (set, frozenset)):
-        return sorted(answers, key=render_text)
-    if isinstance(answers, (list, tuple, range)):
-        return list(answers)
-    return [answers]
 

@@ -132,6 +132,8 @@ def _cmd_build(args) -> int:
     script = args.script
     if not script.is_file():
         raise _UsageError(f"script not found: {script}")
+    if _same_file(args.out, script):
+        raise _UsageError(f"--out names the script itself: {script}")
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV_VAR):
         try:
@@ -193,6 +195,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_preview(args) -> int:
+    if _same_file(args.out, args.bank):
+        raise _UsageError(f"--out names the bank itself: {args.bank}")
     bank = _load_bank(args.bank)
     print(render_temp_preview(bank) if args.out is None else render_preview(bank, args.out))
     return EXIT_OK
@@ -208,7 +212,7 @@ def _cmd_maintain(args) -> int:
         changed = penalty_changes(bank, args.fraction)
         count, report = set_wrong_penalty(bank, args.fraction), "questions updated: %d"
     target, backup = args.out, None
-    if target is None or (target.exists() and os.path.samefile(target, args.bank)):
+    if target is None or _same_file(target, args.bank):
         target = args.bank if changed else None  # in place; a no-op writes nothing
         if not args.no_backup:
             def backup():  # once the edited bank is on file whole, before the rename
@@ -220,6 +224,10 @@ def _cmd_maintain(args) -> int:
 
 
 # -- helpers -----------------------------------------------------------------
+
+
+def _same_file(out: Path | None, source: Path) -> bool:
+    return out is not None and out.exists() and os.path.samefile(out, source)
 
 
 def _load_bank(path: Path):

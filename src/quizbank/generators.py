@@ -17,8 +17,8 @@ for more keeps cycling the correct answers, and each correct answer draws
 its distractor subsets by rank without replacement, so all questions of
 one call stay pairwise distinct.
 
-All comparisons (duplicates, collisions, distinctness) use trimmed exact
-string comparison of the rendered texts.
+List arguments are read by model.as_values (a str is one value), and all
+comparisons use trimmed exact string comparison of the rendered texts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, SamplingError, ValidationError
-from .model import Question, QuestionKind, graded_choices, normalize, render_text, require_stem
+from .model import Question, QuestionKind, as_values, graded_choices, normalize, render_text
+from .model import require_stem, value_pairs
 
 DISTRACTORS_PER_QUESTION = 3
 
@@ -64,7 +65,7 @@ def sample_distractors(pool, k, exclude, rng) -> list[str]:
     item whose trimmed text appears in ``exclude`` is unavailable. Raises
     SamplingError when fewer than k usable items remain.
     """
-    excluded = {normalize(render_text(e)) for e in exclude}
+    excluded = {normalize(render_text(e)) for e in as_values(exclude)}
     valid = [t for t in _unique_texts(pool) if normalize(t) not in excluded]
     if len(valid) < k:
         raise SamplingError(f"need {k} distractors but only {len(valid)} usable candidates remain")
@@ -111,10 +112,8 @@ def addMultipleChoiceFromPairs(
     """
     bank._require_open()
     _require_single_placeholder(pattern)
-    pairs = list(pairs)
-    if not pairs:
+    if not (rendered := value_pairs(pairs)):
         raise ValidationError("at least one (key, answer) pair is required")
-    rendered = [(render_text(k), render_text(a)) for k, a in pairs]
     extras = _unique_texts(extra_distractors)
 
     # Nominal per-key pool size: the other answers plus the extras.
@@ -254,15 +253,9 @@ def _unrank_triple(rank):
 
 
 def _unique_texts(items) -> list[str]:
-    """Render items to text, collapsing duplicates, preserving first-seen order.
-
-    Unordered collections are ordered by their rendered text so that
-    generation stays deterministic under a fixed seed.
-    """
-    if isinstance(items, (set, frozenset)):
-        items = sorted(items, key=render_text)
+    """Render as_values(items) to text, collapsing duplicates, keeping first-seen order."""
     seen: dict[str, str] = {}
-    for item in items:
+    for item in as_values(items):
         text = render_text(item)
         key = normalize(text)
         if key not in seen:

@@ -176,6 +176,30 @@ def render_text(value, _enclosing=()) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def as_values(values) -> list:
+    """The values an argument holds: a set sorted by render_text; a str, bytes or
+    anything iter() refuses (a number, a numpy 0-d array) as one; else in order."""
+    if type(values) in _CONTAINERS:  # a list or tuple, the common case: one test
+        return list(values)
+    if isinstance(values, (set, frozenset)):
+        return sorted(values, key=render_text)
+    try:
+        items = iter(values)
+    except TypeError:
+        return [values]
+    return [values] if isinstance(values, (str, bytes, bytearray)) else list(items)
+
+
+def value_pairs(pairs) -> list[tuple[str, str]]:
+    """The rendered texts of each item of ``pairs``; as_values must read two from each."""
+    rendered = []
+    for pair in as_values(pairs):
+        if len(values := as_values(pair)) != 2:  # a str is one value
+            raise ValidationError(f"a pair must hold exactly two values, got {pair!r}")
+        rendered.append((render_text(values[0]), render_text(values[1])))
+    return rendered
+
+
 def normalize(text: str) -> str:
     """Comparison key for duplicate/collision checks: trimmed, else exact."""
     return text.strip()

@@ -472,6 +472,51 @@ class TestSymlinkedTargets:
         assert "Flux" in (tmp_path / "page.html").read_text(encoding="utf-8")
 
 
+class TestOutNamingTheInput:
+    """build and preview refuse an --out that names their own input, however it
+    is spelled, before any work: exit 1, one error: line, the file unchanged.
+    maintain reads it as an edit in place (TestMaintain, TestSymlinkedTargets)."""
+
+    @staticmethod
+    def _spelled(path, spelling):
+        if spelling == "dotdot":
+            return str(path.parent / ".." / path.parent.name / path.name)
+        if spelling == "link":
+            (path.parent / f"link-{path.name}").symlink_to(path.name)
+            return str(path.parent / f"link-{path.name}")
+        return str(path)
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "link"])
+    def test_preview_out_naming_the_bank(self, bank_file, capsys, spelling):
+        before = bank_file.read_bytes()
+        out = self._spelled(bank_file, spelling)
+        assert main(["preview", str(bank_file), "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out names the bank itself: {bank_file}\n"
+        assert bank_file.read_bytes() == before
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "link"])
+    def test_build_out_naming_the_script(self, tmp_path, capsys, spelling):
+        script = tmp_path / "bank.py"  # it leaves a mark next to itself when it runs
+        script.write_text(BUILD_SCRIPT + "open(__file__ + '.ran', 'w').close()\n", encoding="utf-8")
+        before = script.read_bytes()
+        out = self._spelled(script, spelling)
+        assert main(["build", str(script), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out names the script itself: {script}\n"
+        assert script.read_bytes() == before
+        assert not (tmp_path / "bank.py.ran").exists()
+
+    def test_other_outs_still_write(self, bank_file, build_script, tmp_path, capsys):
+        # A link named by --out that does not point to the input is written through.
+        (tmp_path / "page-link.html").symlink_to("page.html")
+        assert main(["preview", str(bank_file), "--out", str(tmp_path / "page-link.html")]) == 0
+        assert (tmp_path / "page.html").exists()
+        assert main(["build", str(build_script), "--out", str(tmp_path / "b.xml")]) == 0
+        assert parse_bank((tmp_path / "b.xml").read_bytes()).questions
+        capsys.readouterr()
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -511,6 +556,19 @@ FOREIGN_FRACTION = b"""<?xml version="1.0" encoding="UTF-8"?>
   </question>
 </quiz>
 """
+
+
+# Well-formed up to line 8, where </quiz> closes an open <question>.
+MALFORMED_AFTER_TRUEFALSE = b"""<?xml version="1.0" encoding="UTF-8"?>
+<quiz>
+  <question type="truefalse">
+    <name><text>tf</text></name>
+    <questiontext format="html"><text>The sky is blue.</text></questiontext>
+    <answer fraction="100"><text>true</text></answer>
+  <question type="shortanswer">
+</quiz>
+"""
+MALFORMED_NOTQUIZ = MALFORMED_AFTER_TRUEFALSE.replace(b"quiz>", b"notquiz>")
 
 
 def _error_lines(err):
@@ -586,6 +644,30 @@ class TestFailureMessages:
         assert _error_lines(err) == [err.strip()] and "unsupported encoding" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
         assert path.read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["preview", "--out", "p.html"], ["maintain", "set-penalty", "0"]],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize("document", [MALFORMED_AFTER_TRUEFALSE, MALFORMED_NOTQUIZ],
+                             ids=["after-truefalse", "notquiz-root"])
+    def test_malformed_xml_is_reported_before_anything_read(
+        self, tmp_path, capsys, command, document
+    ):
+        # The parse fails before any question is read: no WARN: for the truefalse
+        # question, and not the root's name either.
+        path = tmp_path / "foreign.xml"
+        path.write_bytes(document)
+        argv = [command[0], str(path)] + [
+            str(tmp_path / arg) if arg.endswith(".html") else arg for arg in command[1:]
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: malformed XML at line 8, column 2: mismatched tag")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
+        assert path.read_bytes() == document
 
     def test_bad_regex_is_usage_error(self, bank_file, capsys):
         before = bank_file.read_bytes()
