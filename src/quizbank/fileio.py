@@ -2,9 +2,11 @@
 
 Every write fills a temporary sibling of its target (of the file a symlink
 points to: the link stays) and renames it into place, so no partial file
-can ever appear. A new file gets open()'s mode (0666 less the umask); a
-replaced file keeps its permission bits. A failure removes the temporary
-file, leaves the target untouched and raises an OSError naming the target.
+can ever appear, and no write opens an existing file: a backup that is a
+hard link to the file a write replaces keeps the old bytes for good. A new
+file gets open()'s mode (0666 less the umask); a replaced file keeps its
+permission bits. A failure removes the temporary file, leaves the target
+untouched and raises an OSError naming the target.
 
 Documents stream into the temporary file as UTF-8 chunks (utf8_chunks), so
 a write holds the document's texts plus one chunk, not the whole document.
@@ -16,6 +18,7 @@ UnicodeEncodeError; the temporary file is then removed like on any failure.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import shutil
 import stat
@@ -84,20 +87,29 @@ def _encoded(pieces, fail, legal) -> bytes:
     return data
 
 
-def timestamped_backup(path: Path) -> Path:
-    """Copy ``path`` to a sibling ``<name>.<stamp>.bak`` and return it.
+# How a filesystem refuses a hard link where a copy still works.
+_NO_LINK = {errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP, errno.EOPNOTSUPP}
 
-    The copy is atomic too and keeps the original's mode and timestamps.
-    """
+
+def timestamped_backup(path: Path) -> Path:
+    """Keep the file at ``path`` (a symlink's target) as a sibling
+    ``<name>.<stamp>[-N].bak`` and return it: a hard link to the file the next
+    write renames away, or an atomic copy where the filesystem refuses the
+    link. Either way it has the file's bytes, mode and timestamps."""
     path = Path(path)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    backup = path.with_name(f"{path.name}.{stamp}.bak")
-    counter = 1
-    while backup.exists():
-        backup = path.with_name(f"{path.name}.{stamp}-{counter}.bak")
-        counter += 1
-    _replace_via_temp(backup, lambda tmp: shutil.copy2(path, tmp))
-    return backup
+    stamp, counter = time.strftime("%Y%m%d-%H%M%S"), 0
+    while True:
+        backup = path.with_name(f"{path.name}.{stamp}{f'-{counter}' if counter else ''}.bak")
+        try:
+            os.link(os.path.realpath(path), backup)
+            return backup
+        except FileExistsError:
+            counter += 1
+        except OSError as exc:
+            if exc.errno not in _NO_LINK:
+                raise OSError(exc.errno, exc.strerror, str(backup)) from exc
+            _replace_via_temp(backup, lambda tmp: shutil.copy2(path, tmp))
+            return backup
 
 
 def _replace_via_temp(path: Path, fill) -> None:

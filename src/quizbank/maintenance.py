@@ -36,10 +36,10 @@ def replace_text(bank, old: str, new: str) -> int:
         raise ValidationError("the text to replace must be a non-empty string")
 
     def substitute(texts):
-        count = 0
-        for text in texts:
-            count += text.count(old)
-        return ([text.replace(old, new) for text in texts] if count else texts), count
+        edited = [text.replace(old, new) for text in texts]  # one search per text
+        if len(old) != len(new):  # each occurrence changes the length by the same amount
+            return edited, (sum(map(len, edited)) - sum(map(len, texts))) // (len(new) - len(old))
+        return edited, sum([text.count(old) for text, after in zip(texts, edited) if after != text])
 
     return _apply(bank, substitute)
 

@@ -232,7 +232,8 @@ def parse_number(text: str) -> int | float:
 
 
 def require_finite_number(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    kind = type(value)  # an exact int or float skips the ~0.5 us numbers.Real ABC check
+    if kind not in (int, float) and (kind is bool or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
         if math.isfinite(value):

@@ -192,9 +192,10 @@ def parse_bank(data) -> QuestionBank:
             parser.feed(data[start:start + 65536])
         root = parser.close()
     except ET.ParseError as exc:
+        from xml.parsers.expat import ErrorString  # the reason, without expat's position
         line, column = exc.position
         raise BankParseError(
-            f"malformed XML at line {line}, column {column}: {exc.msg}",
+            f"malformed XML at line {line}, column {column}: {ErrorString(exc.code)}",
             line=line,
             column=column,
         ) from exc

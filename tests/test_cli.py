@@ -582,6 +582,12 @@ def _full_disk_copy(source, target):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def _link_failing_with(code):
+    def link(source, target):
+        raise OSError(code, os.strerror(code), source, None, target)
+    return link
+
+
 _OS_FAILURES = {
     "stats-missing": (["stats", "{missing}"], "missing.xml"),
     "stats-directory": (["stats", "{directory}"], "folder"),
@@ -664,8 +670,7 @@ class TestFailureMessages:
         ]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        [line] = err.splitlines()
-        assert line.startswith("error: malformed XML at line 8, column 2: mismatched tag")
+        assert err.splitlines() == ["error: malformed XML at line 8, column 2: mismatched tag"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.xml"]
         assert path.read_bytes() == document
 
@@ -688,7 +693,8 @@ class TestFailureMessages:
         directory = bank_file.parent
         (directory / "folder").mkdir()
         monkeypatch.chdir(directory)
-        if case == "failed-backup":
+        if case == "failed-backup":  # the link is refused, then the copy fails
+            monkeypatch.setattr("quizbank.fileio.os.link", _link_failing_with(errno.EXDEV))
             monkeypatch.setattr("quizbank.fileio.shutil.copy2", _full_disk_copy)
         before = bank_file.read_bytes()
         argv, named = _OS_FAILURES[case]
@@ -943,6 +949,55 @@ class TestFileModes:
             assert _mode(page) == 0o600
         finally:
             page.unlink()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX hard links and permission bits")
+class TestBackups:
+    # Every write renames a new file into place and never opens the one it
+    # replaces, so the backup can be a hard link to the replaced file.
+    def test_backup_is_the_replaced_file(self, bank_file, capsys):
+        bank_file.chmod(0o640)
+        before, old = bank_file.read_bytes(), bank_file.stat()
+        assert main(["maintain", str(bank_file), "set-penalty", "-20"]) == 0
+        [backup] = bank_file.parent.glob("fixture.xml.*.bak")
+        assert f"backup: {backup}" in capsys.readouterr().err
+        kept = backup.stat()
+        assert (kept.st_ino, kept.st_nlink, kept.st_mode) == (old.st_ino, 1, old.st_mode)
+        assert kept.st_mtime_ns == old.st_mtime_ns and backup.read_bytes() == before
+        assert bank_file.stat().st_ino != old.st_ino
+        assert b'fraction="-20"' in bank_file.read_bytes()
+
+    def test_writes_never_open_the_file_they_replace(self, bank_file, build_script, capsys):
+        other = bank_file.with_name("other.xml")
+        os.link(bank_file, other)  # a second name of the bank's file
+        before = bank_file.read_bytes()
+        argv = ["maintain", str(bank_file), "replace-text", "Flux", "F", "--no-backup"]
+        assert main(argv) == 0
+        assert main(["build", str(build_script), "--out", str(bank_file)]) == 0
+        capsys.readouterr()
+        assert other.read_bytes() == before and other.stat().st_nlink == 1
+
+    def test_backup_is_a_copy_where_no_link_can_be_made(self, bank_file, capsys, monkeypatch):
+        monkeypatch.setattr("quizbank.fileio.os.link", _link_failing_with(errno.EXDEV))
+        bank_file.chmod(0o640)
+        before, old = bank_file.read_bytes(), bank_file.stat()
+        assert main(["maintain", str(bank_file), "set-penalty", "-20"]) == 0
+        capsys.readouterr()
+        [backup] = bank_file.parent.glob("fixture.xml.*.bak")
+        kept = backup.stat()
+        assert (kept.st_nlink, kept.st_mode, kept.st_mtime_ns) == (1, old.st_mode, old.st_mtime_ns)
+        assert kept.st_ino != old.st_ino and backup.read_bytes() == before
+
+    def test_failed_link_exits_2_naming_the_backup(self, bank_file, capsys, monkeypatch):
+        monkeypatch.setattr("quizbank.fileio.os.link", _link_failing_with(errno.ENOSPC))
+        monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")
+        before = bank_file.read_bytes()
+        assert main(["maintain", str(bank_file), "set-penalty", "-20"]) == 2
+        backup = bank_file.with_name("fixture.xml.20260101-000000.bak")
+        message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{backup}'"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert bank_file.read_bytes() == before
+        assert [path.name for path in bank_file.parent.iterdir()] == ["fixture.xml"]
 
 
 FOREIGN_MOODLE = b"""<?xml version="1.0" encoding="UTF-8"?>

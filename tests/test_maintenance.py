@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quizbank import (
@@ -16,7 +16,11 @@ from quizbank import (
     set_wrong_penalty,
 )
 from quizbank.maintenance import penalty_changes
+from quizbank.model import question_texts
 
+
+
+_NEEDLES = st.text("ab", min_size=1, max_size=3)
 
 
 class TestReplaceText:
@@ -67,6 +71,38 @@ class TestReplaceText:
         assert [q.kind for q in rich_bank.questions] == kinds
         mcq = next(q for q in rich_bank.questions if q.name == "pick-root")
         assert [c.fraction for c in mcq.payload.choices] == [100.0] + [-33.33333] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.text("ab", max_size=8), min_size=4, max_size=4), max_size=3),
+        st.one_of(
+            st.tuples(_NEEDLES, st.text("ab", max_size=4)),
+            _NEEDLES.flatmap(lambda old: st.tuples(  # the same length, old itself included
+                st.just(old), st.text("ab", min_size=len(old), max_size=len(old)))),
+            st.tuples(_NEEDLES, st.text("ab", max_size=2), st.text("ab", max_size=2)).map(
+                lambda drawn: (drawn[0], drawn[1] + drawn[0] + drawn[2])),  # new holds old
+            _NEEDLES.map(lambda old: (old, old)),
+        ),
+    )
+    @example([["aaaaa", "aa", "aaa", "a"]], ("aa", "b"))  # overlapping needles
+    @example([["aaaaa", "aa", "aaa", "a"]], ("aa", "bb"))
+    @example([["aaaaa", "aa", "aaa", "a"]], ("aa", "aaa"))
+    @example([["aaaaa", "aa", "aaa", "a"]], ("aa", "aa"))
+    def test_count_and_texts_match_str_replace(self, questions, pair):
+        # The markers hold no "a" or "b": no edit can empty a stem or join two answers.
+        old, new = pair
+        bank = QuestionBank(None)
+        for index, (name, stem, *answers) in enumerate(questions):
+            bank.addShortAnswer(
+                f"<{index}n>{name}", f"<{index}s>{stem}",
+                [f"<{index}a{number}>{answer}" for number, answer in enumerate(answers)],
+            )
+        before = [question_texts(question) for question in bank.questions]
+        expected = [[text.replace(old, new) for text in texts] for texts in before]
+        count = sum(text.count(old) for texts in before for text in texts
+                    if text.replace(old, new) != text)  # 0 when old == new
+        assert replace_text(bank, old, new) == count
+        assert [question_texts(question) for question in bank.questions] == expected
 
 
 def _animals_bank(prompts=("fox", "fix")):

@@ -3,9 +3,11 @@
 Usage: python tools/memory_probe.py [--mb 50]
 
 Writes an authoring script that embeds three random videos of --mb MB each
-with embed_video, then runs build, stats, maintain (replace-text) and
-preview on the bank it writes, one child process each, in a temporary
-directory. os.wait4 gives each child's peak resident set size (ru_maxrss).
+with embed_video, then runs build, stats, maintain (replace-text, in place
+with its backup) and preview on the bank it writes, one child process each,
+in a temporary directory. os.wait4 gives each child's peak resident set size
+(ru_maxrss). The probe also exits 1 unless maintain leaves one .bak whose
+SHA-256 is that of the bank before the edit.
 
 The floor is the peak of a child that only imports quizbank.cli. The fields
 are the bank's texts, almost all of them the three video fragments. The
@@ -25,6 +27,7 @@ process that forks a child into that child's ru_maxrss.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -52,7 +55,7 @@ bank.close()
 COMMANDS = [
     ("build", ["build", "script.py"]),
     ("stats", ["stats", "bank.xml"]),
-    ("maintain", ["maintain", "bank.xml", "replace-text", "video", "clip", "--no-backup"]),
+    ("maintain", ["maintain", "bank.xml", "replace-text", "video", "clip"]),
     ("preview", ["preview", "bank.xml", "--out", "preview.html"]),
 ]
 
@@ -75,6 +78,11 @@ def peak_kib(python_args, cwd) -> int:
     return usage.ru_maxrss
 
 
+def sha256(path) -> str:
+    with open(path, "rb") as file:
+        return hashlib.file_digest(file, "sha256").hexdigest()  # reads in small blocks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mb", type=int, default=50, help="size of each video (MB, 10^6 bytes)")
@@ -94,7 +102,13 @@ def main(argv=None) -> int:
               f"bound {bound / MIB:.1f} MiB")
         over = []
         for label, command in COMMANDS:
+            if label == "maintain":
+                before = sha256(Path(directory, "bank.xml"))
             peak = peak_kib(["-m", "quizbank.cli", *command], directory) * 1024
+            if label == "maintain":
+                backups = [sha256(path) for path in Path(directory).glob("bank.xml.*.bak")]
+                if backups != [before]:
+                    sys.exit("memory probe: maintain left no .bak of the bank before the edit")
             share = (peak - floor) / fields
             print(f"  {label:<9} {peak / MIB:8.1f} MiB  floor + {share:.2f} x fields")
             if peak > bound:
