@@ -232,7 +232,7 @@ def parse_number(text: str) -> int | float:
 
 
 def require_finite_number(value, what: str) -> None:
-    kind = type(value)  # an exact int or float skips the ~0.5 us numbers.Real ABC check
+    kind = type(value)  # an exact int or float skips the far slower numbers.Real ABC check
     if kind not in (int, float) and (kind is bool or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
