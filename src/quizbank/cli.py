@@ -3,11 +3,14 @@
 Exit codes are a stable contract for automation: 0 on success, 1 for
 usage errors (bad flags, out-of-range values), 2 for script, parse or
 file failures. Warnings go to standard error, one per line, prefixed "WARN:".
+
+The program freezes its start-up heap; stats, maintain and preview pause garbage collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -44,10 +47,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def run() -> None:
+    """The program: freeze the start-up heap, before any build script runs, then run main()."""
+    gc.freeze()
+    sys.exit(main())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    collecting = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        if args.handler is not _cmd_build:
+            gc.disable()  # a bank's records hold no reference cycles
         return args.handler(args)
     except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -58,6 +70,9 @@ def main(argv=None) -> int:
     except (QuizbankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,4 +252,4 @@ def _load_bank(path: Path):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 import quizbank
 from quizbank import parse_bank, serialize_bank
-from quizbank.cli import main
+from quizbank.cli import main, run
 
 from conftest import PNG_1PX, build_rich_bank
 from test_moodle_xml import _EDITS, _UNREADABLE_ENCODINGS, _question, _writer_output
@@ -904,6 +907,168 @@ class TestStartup:
             assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
         assert 'alt="a &quot;dot&quot; &lt;&amp;&gt;"' in (tmp_path / "here" / "bank.xml").read_text()
 
+    def test_build_script_runs_collecting_and_its_cycles_are_finalized(self, tmp_path):
+        # The program freezes its start-up heap before the script runs, so a
+        # cycle the script leaves behind is still collected, and finalized.
+        script = tmp_path / "cycle.py"
+        script.write_text(_CYCLE_SCRIPT, encoding="utf-8")
+        result = _cli_process(["build", str(script)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "finalized").exists()
+
+    def test_console_script_is_the_program_entry(self):
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as toml:
+            assert tomllib.load(toml)["project"]["scripts"] == {"quizbank": "quizbank.cli:run"}
+
+    @pytest.mark.parametrize(
+        "code, args",
+        [(0, ["stats", "{bank}"]), (1, ["stats", "{bank}", "--bogus"]), (2, ["stats", "missing.xml"])],
+    )
+    def test_run_freezes_then_exits_with_the_code_of_main(
+        self, bank_file, capsys, monkeypatch, code, args
+    ):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(gc.isenabled()))
+        monkeypatch.setattr(sys, "argv", ["quizbank", *(a.format(bank=bank_file) for a in args)])
+        monkeypatch.chdir(bank_file.parent)
+        with pytest.raises(SystemExit) as exit:
+            run()
+        assert exit.value.code == code
+        assert frozen == [True]
+        capsys.readouterr()
+
+
+_CYCLE_SCRIPT = """\
+import gc
+
+assert gc.isenabled()
+
+
+class Node:
+    def __del__(self):
+        open("finalized", "w").close()
+
+
+node = Node()
+node.self = node
+"""
+
+
+def _numbered_bank(count):
+    """Writer output of ``count`` questions of all four kinds over seven categories."""
+    bank = QuestionBank(None, seed=1)
+    for i in range(count):
+        bank.setCategory(f"Unit {i % 7}")
+        if i % 4 == 0:
+            bank.addShortAnswer(f"s{i}", f"Say word {i}", [f"w{i}", "word"])
+        elif i % 4 == 1:
+            bank.addNumerical(f"n{i}", f"How many {i}?", [i, i + 0.5])
+        elif i % 4 == 2:
+            bank.addMultipleChoice(f"m{i}", f"Pick {i}", [i, i + 1, i + 2, i + 3])
+        else:
+            bank.addMatching(f"p{i}", f"Match {i}", [("a", "1"), ("b", "2"), ("c", f"{i}")])
+    return serialize_bank(bank)
+
+
+def _rewritten_by_elementtree(data):
+    out = io.BytesIO()
+    ElementTree.ElementTree(ElementTree.fromstring(data)).write(
+        out, encoding="UTF-8", xml_declaration=True
+    )
+    return out.getvalue()
+
+
+_READ_COMMANDS = {
+    "stats": ["stats", "{bank}"],
+    "maintain": ["maintain", "{bank}", "replace-text", "Pick", "Choose", "--out", "{dir}/out.xml"],
+    "preview": ["preview", "{bank}", "--out", "{dir}/out.html"],
+}
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """``main`` pauses the cyclic garbage collector for the commands that read
+    a bank, whose records hold no reference cycles, and hands it back as it
+    found it; ``build`` keeps it on for the script."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, ["build", "{script}", "--out", "{dir}/out.xml"]),
+            *((0, argv) for argv in _READ_COMMANDS.values()),
+            (0, ["maintain", "{bank}", "set-penalty", "-25", "--out", "{dir}/out.xml"]),
+            (0, ["--help"]),
+            (1, ["stats", "{bank}", "--bogus"]),
+            (1, ["preview", "{bank}", "--out", "{bank}"]),
+            (2, ["stats", "{dir}/missing.xml"]),
+            (2, ["stats", "{malformed}"]),
+        ],
+        ids=[
+            "build", *_READ_COMMANDS, "set-penalty", "help", "bad-flag", "out-names-input",
+            "missing-bank", "malformed-xml",
+        ],
+    )
+    def test_main_restores_the_collector_state(
+        self, bank_file, build_script, tmp_path, capsys, enabled, code, argv
+    ):
+        malformed = tmp_path / "malformed.xml"
+        malformed.write_bytes(MALFORMED_AFTER_TRUEFALSE)
+        names = {"bank": bank_file, "script": build_script, "dir": tmp_path, "malformed": malformed}
+        with _collector(enabled):
+            assert main([arg.format(**names) for arg in argv]) == code
+            assert gc.isenabled() == enabled
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", _READ_COMMANDS)
+    def test_read_commands_start_no_collection(self, tmp_path, capsys, command):
+        bank = tmp_path / "bank.xml"
+        bank.write_bytes(_numbered_bank(3000))
+        argv = [arg.format(bank=bank, dir=tmp_path) for arg in _READ_COMMANDS[command]]
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        with _collector(True):
+            gc.collect()  # the parser's own objects then stay below the first threshold
+            gc.callbacks.append(hook)
+            try:
+                assert main(argv) == 0
+            finally:
+                gc.callbacks.remove(hook)
+        assert started == []
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("layout", ["writer", "elementtree"])
+    @pytest.mark.parametrize("command", _READ_COMMANDS)
+    def test_read_commands_leave_no_cycles_per_question(self, tmp_path, command, layout):
+        # The premise of the pause: what a read command leaves for the
+        # collector does not grow with the bank.
+        def unreachable_after(count):
+            data = _numbered_bank(count)
+            bank.write_bytes(data if layout == "writer" else _rewritten_by_elementtree(data))
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            return gc.collect()
+
+        bank = tmp_path / "bank.xml"
+        argv = [arg.format(bank=bank, dir=tmp_path) for arg in _READ_COMMANDS[command]]
+        with _collector(False):
+            unreachable_after(50)  # warm-up: on-use imports and caches
+            assert unreachable_after(50) == unreachable_after(500)
+
 
 @contextlib.contextmanager
 def _umask(mask):
@@ -1107,8 +1272,10 @@ class TestCliFuzz:
             if command[0] == "preview":
                 argv[-1] = str(directory / argv[-1])
             err = io.StringIO()
+            collecting = gc.isenabled()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
+            assert gc.isenabled() == collecting
             err = err.getvalue()
             left = sorted(p.name for p in directory.iterdir())
             unchanged = bank.read_bytes() == data
