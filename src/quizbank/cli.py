@@ -20,7 +20,8 @@ from . import bank as bank_module
 from .errors import QuizbankError, ValidationError
 # Writes stream, so atomic_write_bytes and serialize_bank go unused here;
 # benchmarks/tracing.py wraps them by these names.
-from .fileio import atomic_write_bytes, atomic_write_chunks, timestamped_backup  # noqa: F401
+from .fileio import atomic_write_bytes, atomic_write_chunks  # noqa: F401
+from .fileio import read_text, timestamped_backup
 from .maintenance import penalty_changes, replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
 from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
@@ -246,7 +247,7 @@ def _same_file(out: Path | None, source: Path) -> bool:
 
 
 def _load_bank(path: Path):
-    bank = parse_bank(path.read_bytes())
+    bank = parse_bank(read_text(path))  # named by no variable, the parse frees a foreign text
     bank.output_path = path
     return bank
 

@@ -1,4 +1,5 @@
-"""The one write policy: banks, backups and previews are written atomically.
+"""The one file policy: banks, backups and previews are written atomically,
+and a bank is read with one full-size copy (read_text).
 
 Every write fills a temporary sibling of its target (of the file a symlink
 points to: the link stays) and renames it into place, so no partial file
@@ -29,6 +30,20 @@ from pathlib import Path
 # Streamed text is encoded in chunks of under this many characters: a chunk's
 # str and its encoding stay near 1 MiB together for ASCII text.
 CHUNK_CHARS = 1 << 19
+
+
+def read_text(path: Path):
+    """The file at ``path`` decoded from a read-only mapping, closed before this
+    returns; its bytes, read plainly, where it cannot be mapped (empty, a pipe
+    or a device) or is not UTF-8."""
+    import mmap  # here, not at the top: a build never reads a bank
+
+    with open(path, "rb") as file:
+        try:
+            with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                return str(view, "utf-8")
+        except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
+            return file.read()
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:

@@ -16,6 +16,7 @@ that maintenance tooling can operate on mixed banks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import re
@@ -46,7 +47,7 @@ _OTHER_CONTEXTS = ("$system$", "$cat$", "$module$")
 # LF, breaking byte-exact round-trips), U+FFFE, U+FFFF or lone surrogates.
 # Only a failing write searches for them, so re compiles this on first use.
 _UNENCODABLE = "[\x00-\x08\x0b-\x1f\ud800-\udfff\ufffe\uffff]"
-_CONTROLS = [c for c in range(0x20) if c not in b"\t\n"]
+_CONTROLS = bytes(c for c in range(0x20) if c not in b"\t\n")
 
 # The writer's layout, block by block, in literal pieces: "%s" marks an
 # entity-escaped field (between quotes, an attribute value) and each boundary
@@ -161,29 +162,35 @@ def serialize_chunks(bank):
 
 
 def parse_bank(data) -> QuestionBank:
-    """Parse Moodle XML bytes back into a QuestionBank.
+    """Parse Moodle XML, as bytes or as the str they decode to, back into a QuestionBank.
 
-    The returned bank has no output path (supply one before close()).
+    A str is read as it is, never decoded again: an ASCII one is also scanned
+    as it is, any other is encoded once for the scan. The returned bank has
+    no output path (supply one before close()).
     Unsupported question types are skipped with a warning on the bank;
     malformed XML raises BankParseError with the reported line/column and
     leaves no partial bank behind, as does a number or fraction that does
     not parse, naming the question's position.
     """
-    if isinstance(data, str):  # a lone surrogate then fails to decode, and expat names it
-        data = data.encode("utf-8", "surrogatepass")
-    if isinstance(data, (bytes, bytearray)):
+    text = data if isinstance(data, str) else ""
+    if not text.isascii():  # an ASCII text is scanned as it is
         try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which expat names
+            text, data = "", text.encode("utf-8", "surrogatepass")
+    elif isinstance(data, (bytes, bytearray)):
+        with contextlib.suppress(UnicodeDecodeError):
             text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            text = ""
-        if text.startswith(_DOCUMENT[0]) and _xml_legal(text, data):
-            del data  # frees the bytes of a temporary argument while parsing
-            try:
-                return _parse_own_layout(text)
-            except ValueError:
-                # Not the writer's layout byte for byte: ElementTree reads the text.
-                data = text  # decoded strictly and declared UTF-8: expat sees the same bytes
-        text = None  # ElementTree needs only data
+    if text.startswith(_DOCUMENT[0]) and _xml_legal(text, data):
+        del data  # frees a temporary argument, or a text's encoding, while parsing
+        try:
+            return _parse_own_layout(text)
+        except ValueError:
+            # Not the writer's layout byte for byte: ElementTree reads the text.
+            data = text  # decoded strictly and declared UTF-8: expat sees the same bytes
+    elif isinstance(data, str):  # ASCII: a declared foreign encoding counts only in bytes
+        data = data.encode("ascii")
+    text = None  # ElementTree needs only data
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
     parser = ET.XMLParser()
@@ -285,15 +292,15 @@ def _emit_question(parts, question) -> None:
 
 
 def _xml_legal(text: str, data) -> bool:
-    """Whether text, encoded as data, holds only characters XML can carry.
-    Each 256 KiB stretch of the bytes is searched in place (a bounded find,
-    memchr, copying nothing) for each C0 control while it stays in cache;
-    U+FFFE/U+FFFF are sought in the str, where the search is free unless it
-    holds such wide characters.
+    """Whether text, encoded as data (or an ASCII text itself), holds only
+    characters XML can carry. Each 256 KiB stretch of data is searched in place
+    (a bounded find, memchr, copying nothing) for each C0 control while it
+    stays in cache; U+FFFE/U+FFFF are sought in the str, where the search is
+    free unless it holds such wide characters.
     """
-    find = data.find
+    find, controls = data.find, _CONTROLS.decode() if isinstance(data, str) else _CONTROLS
     for start in range(0, len(data), 1 << 18):
-        if any(find(control, start, start + (1 << 18)) >= 0 for control in _CONTROLS):
+        if any(find(control, start, start + (1 << 18)) >= 0 for control in controls):
             return False
     return "\ufffe" not in text and "\uffff" not in text
 

@@ -30,7 +30,7 @@ from quizbank import (
     render_preview,
     serialize_bank,
 )
-from quizbank import cli, fileio
+from quizbank import cli, fileio, moodle_xml
 from quizbank.fileio import CHUNK_CHARS, atomic_write_chunks, utf8_chunks
 from quizbank.moodle_xml import serialize_chunks
 from quizbank.preview import build_preview_html
@@ -194,6 +194,25 @@ class TestMemory:
         peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
         assert "questions: 3" in capsys.readouterr().out
         assert peak < 2 * size + (1 << 20)
+
+    def test_stats_reads_an_ascii_bank_with_one_copy(self, tmp_path, capsys, monkeypatch):
+        """The file is decoded from a mapping, which the tracer does not count,
+        straight to the text that the direct reader gets: by then the read
+        holds one full-size copy, never the bytes beside the text."""
+        path = tmp_path / "bank.xml"
+        atomic_write_chunks(path, serialize_chunks(_media_bank(3)))
+        size = path.stat().st_size
+        assert size > 30_000_000
+        parse, peaks = moodle_xml._parse_own_layout, []
+
+        def traced(text):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return parse(text)
+
+        monkeypatch.setattr(moodle_xml, "_parse_own_layout", traced)
+        _traced_peak(lambda: cli.main(["stats", str(path)]))
+        assert "questions: 3" in capsys.readouterr().out
+        assert len(peaks) == 1 and peaks[0] < 1.1 * size
 
     @pytest.mark.parametrize("before", [b"<quiz>", b"</quiz>"])
     def test_stats_of_a_foreign_layout_does_not_keep_the_text(self, tmp_path, capsys, before):
