@@ -2,8 +2,6 @@
 falls back to a plain read where the file cannot be mapped or is not UTF-8.
 Every reader gives the same bank, and every failure the same message."""
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
@@ -129,14 +127,13 @@ def _fed_fifo(path):
 
 @pytest.mark.parametrize("case", _FALLBACKS)
 class TestFallbacks:
-    def test_main(self, tmp_path, case):
+    def test_main(self, tmp_path, capsys, case):
         make, code, error = _FALLBACKS[case]
         path = make(tmp_path)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert cli.main(["stats", str(path)]) == code
-        assert err.getvalue() == error.format(path=path)
-        assert out.getvalue().startswith(_STATS if code == 0 else "")
+        assert cli.main(["stats", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert err == error.format(path=path)
+        assert out.startswith(_STATS) if code == 0 else out == ""
 
     def test_subprocess(self, tmp_path, case):
         make, code, error = _FALLBACKS[case]
@@ -146,7 +143,7 @@ class TestFallbacks:
             env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60,
         )
         assert (done.returncode, done.stderr) == (code, error.format(path=path))
-        assert done.stdout.startswith(_STATS if code == 0 else "")
+        assert done.stdout.startswith(_STATS) if code == 0 else done.stdout == ""
 
 
 class TestTextArguments:
