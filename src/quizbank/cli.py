@@ -1,8 +1,8 @@
 """Command-line front end: build authoring scripts, inspect, preview, edit.
 
-Exit codes are a stable contract for automation: 0 on success, 1 for
-usage errors (bad flags, out-of-range values), 2 for script, parse or
-file failures. Warnings go to standard error, one per line, prefixed "WARN:".
+Exit codes are a stable contract for automation: 0 on success, 1 for usage errors
+(bad flags or values), 2 for script, parse or file failures. main() maps every outcome
+to its code and prints the one "error:" line; warnings go to stderr, prefixed "WARN:".
 
 The program freezes its start-up heap; stats, maintain and preview pause garbage collection.
 """
@@ -38,14 +38,10 @@ SEED_ENV_VAR = "QUIZBANK_SEED"
 DEFAULT_MEDIA_WARN_MB = 10
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; remap to the documented code 1.
+    # argparse exits with 2 on bad usage; main maps a ValidationError to the documented 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 def run() -> None:
@@ -62,15 +58,12 @@ def main(argv=None) -> int:
         if args.handler is not _cmd_build:
             gc.disable()  # a bank's records hold no reference cycles
         return args.handler(args)
-    except (_UsageError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:
         # --help and friends, once argparse printed (build catches a script's own).
         return EXIT_OK if not exc.code else EXIT_USAGE
     except (QuizbankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return EXIT_USAGE if isinstance(exc, ValidationError) else EXIT_FAILURE
     finally:
         if collecting:
             gc.enable()
@@ -147,15 +140,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     script = args.script
     if not script.is_file():
-        raise _UsageError(f"script not found: {script}")
+        raise ValidationError(f"script not found: {script}")
     if _same_file(args.out, script):
-        raise _UsageError(f"--out names the script itself: {script}")
+        raise ValidationError(f"--out names the script itself: {script}")
     seed = args.seed
     if seed is None and os.environ.get(SEED_ENV_VAR):
         try:
             seed = int(os.environ[SEED_ENV_VAR])
         except ValueError:
-            raise _UsageError(
+            raise ValidationError(
                 f"${SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             )
     import runpy  # here, not at the top: only build runs scripts and prints tracebacks
@@ -167,8 +160,7 @@ def _cmd_build(args) -> int:
         runpy.run_path(str(script), run_name="__main__")
     except SystemExit as exc:
         if exc.code:
-            print(f"error: script exited with status {exc.code}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise QuizbankError(f"script exited with status {exc.code}")
     except BaseException:
         traceback.print_exc()
         return EXIT_FAILURE
@@ -182,7 +174,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_stats(args) -> int:
     if not 0 <= args.media_warn_mb < float("inf"):
-        raise _UsageError(
+        raise ValidationError(
             f"--media-warn-mb must be a finite number >= 0, got {args.media_warn_mb:g}"
         )
     bank = _load_bank(args.bank)
@@ -212,7 +204,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preview(args) -> int:
     if _same_file(args.out, args.bank):
-        raise _UsageError(f"--out names the bank itself: {args.bank}")
+        raise ValidationError(f"--out names the bank itself: {args.bank}")
     bank = _load_bank(args.bank)
     print(render_temp_preview(bank) if args.out is None else render_preview(bank, args.out))
     return EXIT_OK
