@@ -156,15 +156,30 @@ def _cmd_build(args) -> int:
 
     overrides = {"seed": seed, "out": args.out, "banks": []}
     token = bank_module.build_overrides.set(overrides)
+    # A gen-0 collection that frees under half of what it scanned (the heap is mostly
+    # the bank) doubles the gen-0 threshold, up to 4x the one found; one that frees more
+    # restores it. A threshold the script sets itself is left alone.
+    found = mine = gc.get_threshold()
+    def adapt(phase, info):
+        nonlocal mine
+        if phase == "stop" and info["generation"] == 0 and gc.get_threshold() == mine:
+            grow = 2 * info["collected"] < mine[0]
+            mine = (min(2 * mine[0], 4 * found[0]) if grow else found[0], *found[1:])
+            gc.set_threshold(*mine)
+    gc.callbacks.append(adapt)
     try:
         runpy.run_path(str(script), run_name="__main__")
     except SystemExit as exc:
+        if isinstance(exc.code, int) and exc.code:  # a bool prints as its int
+            raise QuizbankError(f"script exited with status {exc.code:d}")
         if exc.code:
-            raise QuizbankError(f"script exited with status {exc.code}")
+            raise QuizbankError(f"script exited: {exc.code}")
     except BaseException:
         traceback.print_exc()
         return EXIT_FAILURE
     finally:
+        gc.callbacks.remove(adapt)
+        gc.set_threshold(*found)
         bank_module.build_overrides.reset(token)
     for bank in overrides["banks"]:
         if not bank.closed:

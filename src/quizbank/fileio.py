@@ -28,8 +28,8 @@ from pathlib import Path
 
 
 # Streamed text is encoded in chunks of under this many characters: a chunk's
-# str and its encoding stay near 1 MiB together for ASCII text.
-CHUNK_CHARS = 1 << 19
+# str and its encoding stay near 256 KiB together for ASCII text.
+CHUNK_CHARS = 1 << 17
 
 
 def read_text(path: Path):
