@@ -156,9 +156,8 @@ def _cmd_build(args) -> int:
 
     overrides = {"seed": seed, "out": args.out, "banks": []}
     token = bank_module.build_overrides.set(overrides)
-    # A gen-0 collection that frees under half of what it scanned (the heap is mostly
-    # the bank) doubles the gen-0 threshold, up to 4x the one found; one that frees more
-    # restores it. A threshold the script sets itself is left alone.
+    # A gen-0 collection that frees under half of what it scanned doubles the gen-0 threshold,
+    # up to 4x the one found, and one that frees more restores it; a script's own threshold wins.
     found = mine = gc.get_threshold()
     def adapt(phase, info):
         nonlocal mine
@@ -178,7 +177,7 @@ def _cmd_build(args) -> int:
         traceback.print_exc()
         return EXIT_FAILURE
     finally:
-        gc.callbacks.remove(adapt)
+        gc.callbacks[:] = [callback for callback in gc.callbacks if callback is not adapt]
         gc.set_threshold(*found)
         bank_module.build_overrides.reset(token)
     for bank in overrides["banks"]:

@@ -9,8 +9,9 @@ file gets open()'s mode (0666 less the umask); a replaced file keeps its
 permission bits. A failure removes the temporary file, leaves the target
 untouched and raises an OSError naming the target.
 
-Documents stream into the temporary file as UTF-8 chunks (utf8_chunks), so
-a write holds the document's texts plus one chunk, not the whole document.
+Documents stream into the temporary file as UTF-8 chunks of under 128 Ki
+characters (utf8_chunks), so a write holds the document's texts plus one
+chunk, about 256 KiB with its encoding for ASCII text, not the document.
 A chunk that does not encode, or that the writer's ``legal`` check rejects,
 ends the stream with the writer's own error, ``fail()``, in place of the
 UnicodeEncodeError; the temporary file is then removed like on any failure.

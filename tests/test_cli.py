@@ -92,9 +92,20 @@ class TestBuild:
         script.write_text("raise RuntimeError('boom')\n", encoding="utf-8")
         assert main(["build", str(script)]) == 2
         assert "boom" in capsys.readouterr().err
-        script.write_text("import sys\nsys.exit(3)\n", encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "code, line",
+        [
+            ("3", "error: script exited with status 3"),
+            ("True", "error: script exited with status 1"),
+            ("'stop here'", "error: script exited: stop here"),
+        ],
+    )
+    def test_nonzero_exit_is_one_error_line(self, tmp_path, capsys, code, line):
+        script = tmp_path / "stop.py"
+        script.write_text(f"import sys\nsys.exit({code})\n", encoding="utf-8")
         assert main(["build", str(script)]) == 2
-        assert capsys.readouterr().err == "error: script exited with status 3\n"
+        assert capsys.readouterr().err == line + "\n"
 
     def test_missing_script_is_usage_error(self, tmp_path, capsys):
         assert main(["build", str(tmp_path / "absent.py")]) == 1
@@ -1040,9 +1051,11 @@ class TestCollector:
         malformed = tmp_path / "malformed.xml"
         malformed.write_bytes(MALFORMED_AFTER_TRUEFALSE)
         names = {"bank": bank_file, "script": build_script, "dir": tmp_path, "malformed": malformed}
+        found = gc.get_threshold(), list(gc.callbacks)
         with _collector(enabled):
             assert main([arg.format(**names) for arg in argv]) == code
             assert gc.isenabled() == enabled
+        assert (gc.get_threshold(), gc.callbacks) == found
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", _READ_COMMANDS)
@@ -1084,6 +1097,135 @@ class TestCollector:
         with _collector(False):
             unreachable_after(50)  # warm-up: on-use imports and caches
             assert unreachable_after(50) == unreachable_after(500)
+
+
+_FIGURE_SCRIPT = """\
+import os
+
+from quizbank import QuestionBank
+
+marks = os.open("finalized", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+
+class Fig:
+    \"\"\"Like a plotting library's figure: a reference cycle holding 256 KiB
+    and ~200 small lists, with a finalizer.\"\"\"
+
+    def __init__(self):
+        self.me = self
+        self.pixels = b"\\1" * (256 << 10)
+        self.parts = [[i] for i in range(200)]
+
+    def __del__(self, write=os.write, marks=marks):
+        write(marks, b"x")
+
+
+Q = QuestionBank(None)
+"""
+
+_FIGURE_LOOPS = {
+    "interleaved": """\
+for i in range(3000):
+    Q.addShortAnswer(f"q{i}", f"Say {i}", "hi")
+    Fig()
+""",
+    "late": """\
+for i in range(20000):
+    Q.addShortAnswer(f"q{i}", f"Say {i}", "hi")
+for i in range(3000):
+    Fig()
+""",
+}
+
+
+# Runs its arguments as a child and prints the child's exit code and ru_maxrss.
+# Linux folds the peak of the process that forks a child into that child's
+# ru_maxrss, so this small process, not pytest, starts each measured child.
+_PEAK_OF = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(child.returncode, usage.ru_maxrss)\n"
+)
+
+
+class TestBuildCollector:
+    """While a build script runs, a gen-0 collection that frees under half of
+    what it scanned doubles the gen-0 threshold, up to 4x the one found, and
+    one that frees more restores it; the script's own settings win."""
+
+    def test_threshold_grows_while_the_heap_is_live_and_returns_with_garbage(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        found = gc.get_threshold()
+        (tmp_path / "grow.py").write_text(
+            "import gc\n"
+            "seen = []\n"
+            f"live = [[i] for i in range({40 * found[0]})]\n"
+            "seen.append(gc.get_threshold())\n"
+            f"for _ in range({10 * found[0]}):\n"
+            "    cycle = []\n"
+            "    cycle.append(cycle)\n"
+            "seen.append(gc.get_threshold())\n"
+            "with open('seen', 'w') as file:\n"
+            "    file.write(repr(seen))\n",
+            encoding="utf-8",
+        )
+        with _collector(True):
+            gc.collect()
+            assert main(["build", "grow.py"]) == 0
+        grown = (4 * found[0], *found[1:])
+        assert (tmp_path / "seen").read_text() == repr([grown, found])
+        assert gc.get_threshold() == found
+
+    @pytest.mark.parametrize(
+        "call", ["gc.set_threshold(1000, 20, 30)", "gc.disable()", "gc.callbacks.clear()"]
+    )
+    def test_a_script_keeps_its_own_setting(self, tmp_path, monkeypatch, call):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "own.py").write_text(
+            f"import gc\n{call}\n"
+            "setting = gc.isenabled(), gc.get_threshold()\n"
+            "live = [[i] for i in range(100_000)]\n"
+            "assert (gc.isenabled(), gc.get_threshold()) == setting, setting\n"
+            "open('kept', 'w').close()\n",
+            encoding="utf-8",
+        )
+        found, callbacks = gc.get_threshold(), gc.callbacks[:]
+        try:
+            with _collector(True):
+                assert main(["build", "own.py"]) == 0
+                assert gc.isenabled()
+        finally:
+            gc.callbacks[:] = callbacks
+        assert (tmp_path / "kept").exists()
+        assert gc.get_threshold() == found
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="os.wait4's ru_maxrss in KiB")
+    @pytest.mark.parametrize("figures", _FIGURE_LOOPS)
+    def test_a_scripts_figures_are_collected_as_without_build(self, tmp_path, figures):
+        """The scripts drop 3,000 figures, each a 256 KiB reference cycle: one
+        per question, or after 20,000 questions, when the threshold has grown.
+        Under build each peaks within 4 MiB of the plain run, and every figure
+        is finalized by exit."""
+        script = _FIGURE_SCRIPT + _FIGURE_LOOPS[figures]
+        (tmp_path / "figures.py").write_text(script, encoding="utf-8")
+        peaks = {}
+        for how, argv in {
+            "python": ["figures.py"], "build": ["-m", "quizbank.cli", "build", "figures.py"]
+        }.items():
+            (tmp_path / "finalized").unlink(missing_ok=True)
+            done = subprocess.run(
+                [sys.executable, "-c", _PEAK_OF, sys.executable, *argv], cwd=tmp_path,
+                env=_SUBPROCESS_ENV, capture_output=True, text=True, check=True,
+            )
+            code, peak_kib = map(int, done.stdout.split())
+            assert code == 0, done.stderr
+            assert (tmp_path / "finalized").stat().st_size == 3000, how
+            peaks[how] = peak_kib / 1024
+        assert peaks["build"] < peaks["python"] + 4, peaks
 
 
 @contextlib.contextmanager

@@ -242,6 +242,20 @@ class TestMemory:
         assert recovered[0].questions == bank.questions
         assert peak < 3 * len(data)
 
+    def test_streamed_write_of_small_questions_holds_a_small_window(self, tmp_path):
+        """A chunk's pieces, their join and its encoding are what a write adds to
+        the bank's texts: about 400 KiB for 128 Ki-character chunks (1.5 MiB for
+        512 Ki), whatever the bank's size."""
+        bank = QuestionBank(None, seed=1)
+        for number in range(5000):
+            bank.setCategory(f"Unit {number % 7}")
+            bank.addMultipleChoice(f"m{number}", f"Pick {number}", [number, number + 1, -1])
+        path = tmp_path / "bank.xml"
+        peak = _traced_peak(lambda: atomic_write_chunks(path, serialize_chunks(bank)))
+        assert path.read_bytes() == serialize_bank(bank)
+        assert path.stat().st_size > 3_000_000  # many chunks at either window
+        assert peak < 1 << 20
+
     def test_streamed_write_of_a_large_field_holds_one_chunk(self, tmp_path):
         """The bank's texts exist before tracing starts, so the peak is what
         the write adds to them: one chunk and its scans, never the field."""
