@@ -38,6 +38,7 @@ from .model import (
     as_values,
     check_question,
     graded_choices,
+    on_grade_grid,
     render_text,
     validate_category_path,
     value_pairs,
@@ -54,7 +55,7 @@ def default_wrong_fraction(choice_count: int) -> float:
     Rounded to 5 decimals (-33.33333 for four choices). Only k = 2..11 and
     k = 21 land on Moodle's grade list; its default import skips the rest.
     """
-    return round(-100.0 / (choice_count - 1), 5)
+    return on_grade_grid(-100.0 / (choice_count - 1))
 
 
 class QuestionBank:

@@ -21,7 +21,7 @@ from .errors import QuizbankError, ValidationError
 # Writes stream, so atomic_write_bytes and serialize_bank go unused here;
 # benchmarks/tracing.py wraps them by these names.
 from .fileio import atomic_write_bytes, atomic_write_chunks  # noqa: F401
-from .fileio import read_text, timestamped_backup
+from .fileio import map_file, timestamped_backup
 from .maintenance import penalty_changes, replace_text, replace_text_pattern, set_wrong_penalty
 from .media import question_media_bytes
 from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
@@ -253,7 +253,8 @@ def _same_file(out: Path | None, source: Path) -> bool:
 
 
 def _load_bank(path: Path):
-    bank = parse_bank(read_text(path))  # named by no variable, the parse frees a foreign text
+    with map_file(path) as data:  # closed once the parse returns
+        bank = parse_bank(data)
     bank.output_path = path
     return bank
 

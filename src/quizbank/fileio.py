@@ -1,5 +1,5 @@
 """The one file policy: banks, backups and previews are written atomically,
-and a bank is read with one full-size copy (read_text).
+and a bank is read from a read-only mapping of its file (map_file).
 
 Every write fills a temporary sibling of its target (of the file a symlink
 points to: the link stays) and renames it into place, so no partial file
@@ -33,18 +33,17 @@ from pathlib import Path
 CHUNK_CHARS = 1 << 17
 
 
-def read_text(path: Path):
-    """The file at ``path`` decoded from a read-only mapping, closed before this
-    returns; its bytes, read plainly, where it cannot be mapped (empty, a pipe
-    or a device) or is not UTF-8."""
+def map_file(path: Path):
+    """The file at ``path`` as a read-only mapping, to use in a ``with``
+    statement that closes it; its bytes, read plainly, where it cannot be
+    mapped (empty, a pipe or a device)."""
     import mmap  # here, not at the top: a build never reads a bank
 
-    with open(path, "rb") as file:
+    with open(path, "rb") as file:  # the mapping keeps a file descriptor of its own
         try:
-            with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                return str(view, "utf-8")
-        except (OSError, ValueError):  # a UnicodeDecodeError is a ValueError
-            return file.read()
+            return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return contextlib.nullcontext(file.read())
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:

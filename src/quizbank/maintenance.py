@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .model import (
     QuestionKind,
     check_question,
+    on_grade_grid,
     question_texts,
     require_finite_number,
     set_question_texts,
@@ -72,7 +73,7 @@ def set_wrong_penalty(bank, fraction) -> int:
     require_finite_number(fraction, "penalty fraction")
     if not -100 <= fraction <= 0:
         raise ValidationError(f"penalty fraction must lie between -100 and 0, got {fraction}")
-    value = round(float(fraction), 5)
+    value = on_grade_grid(fraction)
     wrong = list(_wrong_choices(bank))
     for choice in [choice for choices in wrong for choice in choices]:
         choice.fraction = value
@@ -81,7 +82,7 @@ def set_wrong_penalty(bank, fraction) -> int:
 
 def penalty_changes(bank, fraction) -> bool:
     """Whether set_wrong_penalty(bank, fraction) would change any fraction."""
-    value = round(float(fraction), 5)
+    value = on_grade_grid(fraction)
     return any(choice.fraction != value for choices in _wrong_choices(bank) for choice in choices)
 
 

@@ -220,6 +220,19 @@ def canonical_number(value) -> str:
     return repr(float(value))
 
 
+def on_grade_grid(value) -> float:
+    """A grade percentage on the 5-decimal grid of fraction attributes."""
+    return round(float(value), 5)
+
+
+def format_fraction(value) -> str:
+    """Grade percentage as emitted in fraction attributes: 5-decimal grid."""
+    rounded = on_grade_grid(value)
+    if rounded == 0:
+        return "0"
+    return f"{rounded:.5f}".rstrip("0").rstrip(".")
+
+
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
 

@@ -16,7 +16,7 @@ that maintenance tooling can operate on mixed banks.
 
 from __future__ import annotations
 
-import contextlib
+import codecs
 import functools
 import io
 import re
@@ -33,6 +33,7 @@ from .model import (
     QuestionKind,
     ShortAnswerSet,
     canonical_number,
+    format_fraction,
     parse_number,
     unencodable_error,
 )
@@ -107,6 +108,8 @@ _READERS = {  # keyed by block; each type's repeated element by its type name
                        ("shortanswer", (_SHORT_ANSWER,)), ("numerical", (_NUMERICAL_ANSWER,)),
                        ("multichoice", _CHOICE), ("matching", _SUBQUESTION))
 }
+# The direct reader decodes bytes this many at a time.
+_WINDOW = 1 << 18
 # A bank repeats a few fractions in every question: each is converted once, so
 # a read holds one float per distinct fraction, not one per choice.
 _read_fraction = functools.lru_cache(maxsize=256)(float)
@@ -129,14 +132,6 @@ def escape_xml_text(text: str) -> str:
     if "&" in text or "<" in text or ">" in text:  # three C searches cost less than replaces
         return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return text
-
-
-def format_fraction(value) -> str:
-    """Grade percentage as emitted in fraction attributes: 5-decimal grid."""
-    rounded = round(float(value), 5)
-    if rounded == 0:
-        return "0"
-    return f"{rounded:.5f}".rstrip("0").rstrip(".")
 
 
 @functools.lru_cache(maxsize=256)  # a bank repeats a few fractions in every question
@@ -162,41 +157,29 @@ def serialize_chunks(bank):
 
 
 def parse_bank(data) -> QuestionBank:
-    """Parse Moodle XML, as bytes or as the str they decode to, back into a QuestionBank.
+    """Parse Moodle XML back into a QuestionBank: bytes or any bytes-like object
+    (bytearray, memoryview, mmap), or the str they decode to.
 
-    A str is read as it is, never decoded again: an ASCII one is also scanned
-    as it is, any other is encoded once for the scan. The returned bank has
-    no output path (supply one before close()).
+    Bytes are decoded and read a window at a time, so a read holds the bank's
+    fields, one window and the largest open question, never the whole text; a
+    read-only mapping's pages are dropped once decoded, as its file holds them.
+    The returned bank has no output path (supply one before close()).
     Unsupported question types are skipped with a warning on the bank;
     malformed XML raises BankParseError with the reported line/column and
     leaves no partial bank behind, as does a number or fraction that does
     not parse, naming the question's position.
     """
-    text = data if isinstance(data, str) else ""
-    if not text.isascii():  # an ASCII text is scanned as it is
-        try:
-            data = text.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which expat names
-            text, data = "", text.encode("utf-8", "surrogatepass")
-    elif isinstance(data, (bytes, bytearray)):
-        with contextlib.suppress(UnicodeDecodeError):
-            text = data.decode("utf-8")
-    if text.startswith(_DOCUMENT[0]) and _xml_legal(text, data):
-        del data  # frees a temporary argument, or a text's encoding, while parsing
-        try:
-            return _parse_own_layout(text)
-        except ValueError:
-            # Not the writer's layout byte for byte: ElementTree reads the text.
-            data = text  # decoded strictly and declared UTF-8: expat sees the same bytes
-    elif isinstance(data, str):  # ASCII: a declared foreign encoding counts only in bytes
-        data = data.encode("ascii")
-    text = None  # ElementTree needs only data
+    try:
+        return _parse_own_layout(data)
+    except ValueError:  # not the writer's layout byte for byte: ElementTree reads it instead
+        pass
     import xml.etree.ElementTree as ET  # only other layouts pay for its import
 
     parser = ET.XMLParser()
     try:
-        for start in range(0, len(data), 65536):  # no full-size UTF-8 copy of a text in expat
-            parser.feed(data[start:start + 65536])
+        for start in range(0, len(data), 65536):  # no full-size copy of the bank in expat
+            piece = data[start:start + 65536]  # a str's own bytes, so its declaration counts
+            parser.feed(piece.encode("utf-8", "surrogatepass") if isinstance(piece, str) else piece)
         root = parser.close()
     except ET.ParseError as exc:
         from xml.parsers.expat import ErrorString  # the reason, without expat's position
@@ -308,41 +291,122 @@ def _xml_legal(text: str, data) -> bool:
 # -- parser ---------------------------------------------------------------
 
 
-def _parse_own_layout(text: str) -> QuestionBank:
-    """Read a legal text that starts like serialize_bank's; raise ValueError at
-    the first character off its layout, so that ElementTree reads it instead."""
+def _parse_own_layout(data) -> QuestionBank:
+    """Read data, a str or bytes-like, in serialize_bank's layout; raise
+    ValueError at the first character off it, so that ElementTree reads it."""
+    bank = QuestionBank(output_path=None)
+    append = bank.questions.append
+    for read in _own_layout(_windows(data)):
+        if type(read) is str:
+            bank.category = read
+        else:
+            append(read)
+    return bank
+
+
+def _windows(data):
+    """data's text, a window at a time: a str whole, anything else decoded as
+    UTF-8 _WINDOW bytes at a time (the first holds the document's first line),
+    cut after a block end in its last sixteenth where data can find one (bytes,
+    bytearray, mmap); the bytes of a character cut by a window's end go on to
+    the next. ValueError where data is not UTF-8 or holds a character XML
+    cannot carry. A read-only mapping's pages are dropped once decoded."""
+    if isinstance(data, str):
+        if not _xml_legal(data, data if data.isascii() else data.encode()):  # or a lone surrogate
+            raise ValueError("not XML text")
+        yield data
+        return
+    import mmap  # here, not at the top: a build never reads a bank
+
+    release = isinstance(data, mmap.mmap) and memoryview(data).readonly  # the file holds its pages
+    rfind, block_end = getattr(data, "rfind", None), _QUESTION_END.encode()
+    start = dropped = 0
+    while start < len(data):
+        end = max(start + _WINDOW, len(_DOCUMENT[0]))
+        if rfind and end < len(data) and (cut := rfind(block_end, end - (_WINDOW >> 4), end)) >= start:
+            end = cut + len(block_end)
+        with memoryview(data)[start:end] as window:  # no view outlives its window
+            text, used = codecs.utf_8_decode(window, None, end >= len(data))
+            if not _xml_legal(text, text if text.isascii() else window[:used].tobytes()):
+                raise ValueError("not XML text")
+        start += used
+        if release and (edge := start & -mmap.PAGESIZE) > dropped:
+            data.madvise(mmap.MADV_DONTNEED, dropped, edge - dropped)
+            dropped = edge
+        yield text
+
+
+def _own_layout(windows):
+    """Yield each question of a legal text in serialize_bank's layout, and each
+    category it changes to (a str), reading whole blocks as its windows come;
+    raise ValueError at the first character off the layout."""
     # re caches compiled patterns, so only the first parse compiles these.
     read = {key: re.compile(pattern).match for key, pattern in _READERS.items()}
     read_category, read_head = read["category"], read["head"]
     types = {kind: (member, close, read[kind]) for kind, (member, _, close) in _TYPES.items()}
-    bank = QuestionBank(output_path=None)
-    append, category = bank.questions.append, ""
-    pos = len(_DOCUMENT[0])
-    while not text.startswith(_DOCUMENT[1], pos):
-        head = read_head(text, pos)
-        if head is None or (found := types.get(head[1])) is None:  # a category, or no type of ours
-            block = read_category(text, pos)
-            if block is None:
+    opening, block_end = _DOCUMENT[0], _QUESTION_END
+    category, text, stem = "", "", None
+    for window in windows:
+        fresh = max(0, len(text) - len(block_end) + 1)  # no block end lies whole in the tail
+        text += window  # the unread tail, grown in place, then the window
+        pos = 0
+        if opening:  # the first window holds the document's first line
+            if not text.startswith(opening):
                 raise ValueError("not the writer's layout")
-            category = _category_path(_unescape(block[1]))
-            pos = block.end()
-            continue
-        (kind, name), (member, close, read_item), start = head.groups(), found, head.end()
-        stop = text.index(close, start)  # a substring search: no stem meets the regex engine
-        stem, pos = _uncdata(text[start:stop]), stop + len(close)
-        items = []  # the question's answers, choices or pairs
-        while item := read_item(text, pos):
-            items.append(item)
-            pos = item.end()
-        payload = _payload(kind, items, _unescape, _uncdata, _leave_layout)
-        if not text.startswith(_QUESTION_END, pos):
-            raise ValueError("not the writer's layout")
-        pos += len(_QUESTION_END)
-        append(Question(member, _unescape(name), stem, payload, category))
-    if pos + len(_DOCUMENT[1]) != len(text):
-        raise ValueError("trailing data")
-    bank.category = category
-    return bank
+            pos, opening = len(opening), ""
+        while True:
+            # Read up to the last block end, which ends a block unless it lies
+            # in a CDATA text: then a match stops short of it.
+            last = text.rfind(block_end, max(pos, fresh))
+            last = last + len(block_end) if last >= 0 else pos
+            while pos < last:
+                head = read_head(text, pos, last)
+                if head is None or (found := types.get(head[1])) is None:  # a category, or no type of ours
+                    block = read_category(text, pos, last)
+                    if block is None:
+                        raise ValueError("not the writer's layout")
+                    category, pos = _category_path(_unescape(block[1])), block.end()
+                    yield category
+                    continue
+                (kind, name), (member, close, read_item), start = head.groups(), found, head.end()
+                stop = text.index(close, start, last)  # no stem meets the regex engine
+                stem = _uncdata(text[start:stop] if stem is None else stem)
+                pos, items = stop + len(close), []  # the question's answers, choices or pairs
+                while item := read_item(text, pos, last):
+                    items.append(item)
+                    pos = item.end()
+                payload = _payload(kind, items, _unescape, _uncdata, _leave_layout)
+                if not text.startswith(block_end, pos):
+                    raise ValueError("not the writer's layout")
+                pos += len(block_end)
+                yield Question(member, _unescape(name), stem, payload, category)
+                stem = None
+            # No whole block is left: a stem that runs on past the window reads on alone.
+            head = read_head(text, pos)
+            if head is None or (found := types.get(head[1])) is None or text.find(found[1], head.end()) >= 0:
+                break
+            stem, rest = _read_on(text[head.end():], found[1], windows)
+            text, pos, fresh = text[pos:head.end()] + rest, 0, 0
+        text, head, block, item = text[pos:], None, None, None  # no match holds on to the window
+    if opening or text != _DOCUMENT[1]:
+        raise ValueError("not the writer's layout")
+
+
+def _read_on(field, close, windows):
+    """A CDATA text that runs past its window, read on window by window to the
+    first close: the text, grown in place, and the rest of the last window."""
+    seam = len(close) - 1
+    for window in windows:
+        if close in field[-seam:] + window[:seam]:  # the close straddles the cut
+            text = field + window
+            stop = text.index(close, max(0, len(field) - seam))
+            return text[:stop], text[stop:]
+        stop = window.find(close)
+        if stop >= 0:
+            field += window[:stop]
+            return field, window[stop:]
+        field += window
+    raise ValueError("not the writer's layout")
 
 
 def _unescape(raw: str) -> str:

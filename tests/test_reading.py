@@ -1,19 +1,22 @@
-"""Reading a bank file: the CLI decodes a read-only mapping of it once, and
-falls back to a plain read where the file cannot be mapped or is not UTF-8.
-Every reader gives the same bank, and every failure the same message."""
+"""Reading a bank file: the CLI maps it read-only and the parse decodes the
+mapping a window at a time; a plain read stands in where the file cannot be
+mapped. Every reader and every window size gives the same bank, and every
+failure the same message."""
 
 import os
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quizbank import BankParseError, QuestionBank, ValidationError, parse_bank, serialize_bank
-from quizbank import cli
+from quizbank import cli, moodle_xml
 
 from test_cli import _SUBPROCESS_ENV
 
@@ -158,15 +161,94 @@ class TestTextArguments:
         assert str(caught.value) == message
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-    def test_the_file_is_unmapped_before_the_parse(self, tmp_path, monkeypatch, capsys):
+    def test_the_parse_reads_the_mapping_and_main_unmaps_it(self, tmp_path, monkeypatch, capsys):
         path = _written(tmp_path / "bank.xml", _OWN)
-        mapped = []
+        seen = []
 
-        def parse(text):
-            mapped.append(os.path.realpath(path) in Path("/proc/self/maps").read_text())
-            return parse_bank(text)
+        def parse(data):
+            seen.append((type(data).__name__, len(data), _mapped(path)))
+            return parse_bank(data)
 
         monkeypatch.setattr(cli, "parse_bank", parse)
         assert cli.main(["stats", str(path)]) == 0
         assert capsys.readouterr().out.startswith(_STATS)
-        assert mapped == [False]
+        assert seen == [("mmap", len(_OWN), True)]
+        assert not _mapped(path)
+
+
+def _mapped(path):
+    return os.path.realpath(path) in Path("/proc/self/maps").read_text()
+
+
+def _windows_read(data, size):
+    """The byte range of each window of data when the direct reader reads it in
+    windows of ``size`` bytes, and the bank it reads (ElementTree refused)."""
+    windows, start, decode = [], 0, moodle_xml.codecs.utf_8_decode
+
+    def recorded(window, errors, final):
+        nonlocal start
+        text, used = decode(window, errors, final)
+        windows.append((start, start + len(window)))
+        start += used
+        return text, used
+
+    with mock.patch.object(moodle_xml, "_WINDOW", size), \
+            mock.patch.object(moodle_xml.codecs, "utf_8_decode", recorded), \
+            mock.patch.object(ET, "XMLParser", side_effect=AssertionError("ElementTree ran")):
+        bank = parse_bank(data)
+    return windows, bank
+
+
+class TestWindows:
+    """The direct reader gives the same bank whatever the window size, with
+    each kind of cut: inside a character, a writer-split CDATA end or a block
+    end, or in a stem that runs on past its window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bank=_built_bank(), size=st.integers(7, 64))
+    def test_every_window_size_reads_the_same_bank(self, bank, size):
+        data = serialize_bank(bank)
+        whole = parse_bank(data.decode("utf-8"))
+        for form in (memoryview(data), data):  # a memoryview is cut anywhere, bytes after a block end
+            windows, read = _windows_read(form, size)
+            assert (read.questions, read.category) == (whole.questions, whole.category)
+            assert read.questions == bank.questions and serialize_bank(read) == data
+
+    def test_cuts_fall_inside_each_construct(self):
+        bank = QuestionBank(None)
+        bank.setCategory("A/中")
+        bank.addMultipleChoice("q", "中中中 a]]>b " * 3, ["é]]>x", "中"])
+        bank.addShortAnswer("r", "S" * 300, ["中"])
+        data = serialize_bank(bank)
+        spans = {  # byte ranges a window's end can fall strictly inside
+            "character": [(i, i + 3) for i in range(len(data)) if data.startswith("中".encode(), i)],
+            "split CDATA end": [(i, i + 15) for i in range(len(data))
+                                if data.startswith(b"]]]]><![CDATA[>", i)],
+            "block end": [(i, i + 14) for i in range(len(data)) if data.startswith(b"  </question>\n", i)],
+        }
+        cut = dict.fromkeys([*spans, "after a block end, short of the size"], False)
+        for size in [*range(7, 65), *range(224, 513, 8)]:  # from 224 bytes, bytes are cut short
+            for form in (memoryview(data), data):
+                windows, read = _windows_read(form, size)
+                assert read.questions == bank.questions and read.category == "A/中"
+                for name, ranges in spans.items():
+                    cut[name] |= any(a < end < b for _, end in windows for a, b in ranges)
+                cut["after a block end, short of the size"] |= any(
+                    end - start < size and data[:end].endswith(b"  </question>\n")
+                    for start, end in windows[:-1]
+                )
+        assert all(cut.values()), cut
+
+    def test_a_block_end_in_a_stem_that_ends_a_window_falls_back(self):
+        bank = QuestionBank(None)
+        bank.addShortAnswer("q", "before\n  </question>\nafter", ["x"])
+        bank.addShortAnswer("r", "next", ["y"])
+        data = serialize_bank(bank)
+        _, direct = _windows_read(data, 1 << 18)  # one window: its last block end is the bank's
+        assert direct.questions == bank.questions
+        size = data.index(b"  </question>\nafter") + len("  </question>\n")
+        with mock.patch.object(moodle_xml, "_WINDOW", size), \
+                mock.patch.object(ET, "XMLParser", wraps=ET.XMLParser) as parser:
+            read = parse_bank(memoryview(data))
+        assert parser.called
+        assert read.questions == bank.questions

@@ -30,7 +30,7 @@ from quizbank import (
     render_preview,
     serialize_bank,
 )
-from quizbank import cli, fileio, moodle_xml
+from quizbank import cli, fileio
 from quizbank.fileio import CHUNK_CHARS, atomic_write_chunks, utf8_chunks
 from quizbank.moodle_xml import serialize_chunks
 from quizbank.preview import build_preview_html
@@ -161,6 +161,18 @@ def _media_bank(count):
     return bank
 
 
+def _traced_read(path):
+    """What parse_bank of the file's mapping holds once it returns (the bank's
+    fields), and its peak, both under tracemalloc."""
+    with fileio.map_file(path) as data:
+        tracemalloc.start()
+        try:
+            bank = parse_bank(data)  # noqa: F841 (held while the tracer counts it)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+
 def _traced_peak(function):
     tracemalloc.start()
     try:
@@ -195,24 +207,40 @@ class TestMemory:
         assert "questions: 3" in capsys.readouterr().out
         assert peak < 2 * size + (1 << 20)
 
-    def test_stats_reads_an_ascii_bank_with_one_copy(self, tmp_path, capsys, monkeypatch):
-        """The file is decoded from a mapping, which the tracer does not count,
-        straight to the text that the direct reader gets: by then the read
-        holds one full-size copy, never the bytes beside the text."""
+    def test_stats_holds_the_fields_and_a_window(self, tmp_path, capsys):
+        """The file is read from its mapping, which the tracer does not count, a
+        window at a time: the read adds less than 1 MiB to the fields it builds,
+        and never holds the whole text."""
         path = tmp_path / "bank.xml"
         atomic_write_chunks(path, serialize_chunks(_media_bank(3)))
-        size = path.stat().st_size
-        assert size > 30_000_000
-        parse, peaks = moodle_xml._parse_own_layout, []
-
-        def traced(text):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            return parse(text)
-
-        monkeypatch.setattr(moodle_xml, "_parse_own_layout", traced)
-        _traced_peak(lambda: cli.main(["stats", str(path)]))
+        assert path.stat().st_size > 30_000_000
+        fields, _ = _traced_read(path)
+        peak = _traced_peak(lambda: cli.main(["stats", str(path)]))
         assert "questions: 3" in capsys.readouterr().out
-        assert len(peaks) == 1 and peaks[0] < 1.1 * size
+        assert peak < fields + (1 << 20)
+
+    def test_stats_peak_grows_by_the_fields_it_adds(self, tmp_path, capsys):
+        fields, peaks = [], []
+        for count in (3, 6):
+            path = tmp_path / f"bank{count}.xml"
+            atomic_write_chunks(path, serialize_chunks(_media_bank(count)))
+            fields.append(_traced_read(path)[0])
+            peaks.append(_traced_peak(lambda: cli.main(["stats", str(path)])))
+            assert f"questions: {count}" in capsys.readouterr().out
+        assert peaks[1] - peaks[0] < fields[1] - fields[0] + (1 << 20)
+
+    def test_parse_of_a_wide_bank_holds_its_fields_and_a_window(self, tmp_path):
+        """A 12 MiB file of three-byte characters: each window is decoded on its
+        own, so no decode of the whole file (about three times its size at its
+        peak) ever runs."""
+        bank = QuestionBank(None)
+        bank.addShortAnswer("wide", "\u4e2d" * (4 << 20), ["x"])
+        path = tmp_path / "bank.xml"
+        atomic_write_chunks(path, serialize_chunks(bank))
+        assert path.stat().st_size > 12 << 20
+        fields, peak = _traced_read(path)
+        assert fields > 8 << 20  # the stem, two bytes a character
+        assert peak <= fields + (2 << 20)
 
     @pytest.mark.parametrize("before", [b"<quiz>", b"</quiz>"])
     def test_stats_of_a_foreign_layout_does_not_keep_the_text(self, tmp_path, capsys, before):

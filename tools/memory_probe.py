@@ -12,13 +12,16 @@ SHA-256 is that of the bank before the edit.
 The floor is the peak of a child that only imports quizbank.cli. The fields
 are the bank's texts, almost all of them the three video fragments. The
 probe prints each command's peak and exits 1 if one fails or peaks above
+its bound:
 
-    floor + fields + 3 x the largest field + 1 MiB,
+    stats, preview     floor + 1.2 x fields + 1 MiB
+    build, maintain    floor + fields + 3 x the largest field + 1 MiB
 
 where the 1 MiB covers what a command needs beyond the import whatever the
 bank's size (its argument parser, compiled patterns, small objects). Reading
-a bank holds its text and its fields, so stats, maintain and preview sit
-near floor + 2 x fields.
+a bank holds its fields and one window of the file, so stats and preview sit
+near floor + fields. maintain replace-text also holds every edited text's old
+value until its pass ends, near floor + 2 x fields.
 
 This process holds no large data itself: Linux folds the peak of the
 process that forks a child into that child's ru_maxrss.
@@ -96,10 +99,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="quizbank-memory-probe-") as directory:
         Path(directory, "script.py").write_text(SCRIPT.format(videos=VIDEOS, size=size))
         floor = peak_kib(["-c", "import quizbank.cli"], directory) * 1024
+        read = floor + 1.2 * fields + MIB
         bound = floor + fields + 3 * largest + MIB
         print(f"{VIDEOS} videos of {args.mb} MB: fields {fields / MIB:.1f} MiB, "
               f"largest {largest / MIB:.1f} MiB, floor {floor / MIB:.1f} MiB, "
-              f"bound {bound / MIB:.1f} MiB")
+              f"bounds {read / MIB:.1f} MiB (stats, preview) and {bound / MIB:.1f} MiB")
         over = []
         for label, command in COMMANDS:
             if label == "maintain":
@@ -111,7 +115,7 @@ def main(argv=None) -> int:
                     sys.exit("memory probe: maintain left no .bak of the bank before the edit")
             share = (peak - floor) / fields
             print(f"  {label:<9} {peak / MIB:8.1f} MiB  floor + {share:.2f} x fields")
-            if peak > bound:
+            if peak > (read if label in ("stats", "preview") else bound):
                 over.append(label)
     if over:
         print(f"memory probe: above the bound: {', '.join(over)}", file=sys.stderr)
