@@ -402,10 +402,11 @@ def _read_on(field, close, windows):
             stop = text.index(close, max(0, len(field) - seam))
             return text[:stop], text[stop:]
         stop = window.find(close)
+        # One append for every window: CPython grows a str in place only at an
+        # addition it has specialized, which a line run once per text is not.
+        field += window if stop < 0 else window[:stop]
         if stop >= 0:
-            field += window[:stop]
             return field, window[stop:]
-        field += window
     raise ValueError("not the writer's layout")
 
 
