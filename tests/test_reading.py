@@ -210,7 +210,7 @@ class TestWindows:
         data = serialize_bank(bank)
         whole = parse_bank(data.decode("utf-8"))
         for form in (memoryview(data), data):  # a memoryview is cut anywhere, bytes after a block end
-            windows, read = _windows_read(form, size)
+            _, read = _windows_read(form, size)
             assert (read.questions, read.category) == (whole.questions, whole.category)
             assert read.questions == bank.questions and serialize_bank(read) == data
 
