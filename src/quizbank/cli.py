@@ -18,13 +18,15 @@ from pathlib import Path
 
 from . import bank as bank_module
 from .errors import QuizbankError, ValidationError
-# Writes stream, so atomic_write_bytes and serialize_bank go unused here;
-# benchmarks/tracing.py wraps them by these names.
+# Writes stream and maintain edits question by question: atomic_write_bytes, serialize_bank,
+# replace_text and set_wrong_penalty go unused here; benchmarks/tracing.py wraps them by name.
 from .fileio import atomic_write_bytes, atomic_write_chunks  # noqa: F401
 from .fileio import map_file, timestamped_backup
-from .maintenance import penalty_changes, replace_text, replace_text_pattern, set_wrong_penalty
+from .maintenance import pattern_edit, penalty_edit, replace_text, set_wrong_penalty  # noqa: F401
+from .maintenance import text_edit
 from .media import question_media_bytes
-from .moodle_xml import parse_bank, serialize_bank, serialize_chunks  # noqa: F401
+from .moodle_xml import _own_layout, _windows, parse_bank, serialize_chunks
+from .moodle_xml import serialize_bank  # noqa: F401
 from .preview import render_preview, render_temp_preview
 
 EXIT_OK = 0
@@ -225,23 +227,41 @@ def _cmd_preview(args) -> int:
 
 
 def _cmd_maintain(args) -> int:
-    bank = _load_bank(args.bank)
-    if args.operation == "replace-text":
-        replace = replace_text_pattern if args.regex else replace_text
-        count, report = replace(bank, args.old, args.new), "replacements: %d"
-        changed = count
-    else:
-        changed = penalty_changes(bank, args.fraction)
-        count, report = set_wrong_penalty(bank, args.fraction), "questions updated: %d"
-    target, backup = args.out, None
-    if target is None or _same_file(target, args.bank):
-        target = args.bank if changed else None  # in place; a no-op writes nothing
-        if not args.no_backup:
-            def backup():  # once the edited bank is on file whole, before the rename
-                print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
-    if target is not None:
-        atomic_write_chunks(target, serialize_chunks(bank), before_replace=backup)
-    print(report % count)
+    with map_file(args.bank) as data:  # closed once the edited bank is on file
+        try:
+            return _edit_stream(args, _own_layout(_windows(data)))
+        except (QuizbankError, ValueError):  # a failure, or off the writer's layout:
+            bank = parse_bank(data)  # the bank read whole reports it as it always has
+    return _edit_stream(args, bank.questions, bank)
+
+
+def _edit_stream(args, questions, bank=None) -> int:
+    """Edit each of ``questions`` (a str among them is a category change) as it
+    comes, into the atomic write's temporary file; ``bank`` names an unencodable text."""
+    edit = (penalty_edit(args.fraction) if args.operation == "set-penalty"
+            else (pattern_edit if args.regex else text_edit)(args.old, args.new))
+    in_place = args.out is None or _same_file(args.out, args.bank)
+    target, total, changed, index = args.bank if in_place else args.out, 0, False, 0
+
+    def edited():
+        nonlocal total, changed, index
+        for question in questions:
+            if type(question) is not str:
+                index += 1
+                count, change = edit(index, question)
+                total, changed = total + count, changed or change
+                yield question
+            question = None  # dropped before the next is read
+
+    def finish():  # once the edited bank is on file whole, before the rename
+        if in_place and not changed:
+            return False  # the write is abandoned: no rename and no backup
+        if in_place and not args.no_backup:
+            print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
+
+    atomic_write_chunks(target, serialize_chunks(bank, edited()), before_replace=finish)
+    report = "replacements: %d" if args.operation == "replace-text" else "questions updated: %d"
+    print(report % total)
     return EXIT_OK
 
 

@@ -54,13 +54,12 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 def atomic_write_chunks(path: Path, chunks, before_replace=None) -> None:
     """Stream bytes ``chunks`` to ``path`` atomically; an exception raised while
     making them abandons the write. ``before_replace()`` runs once all are on
-    file, just before the rename."""
+    file, just before the rename; it abandons the write by returning False."""
 
     def fill(tmp):
         with open(tmp, "wb") as out:
             out.writelines(chunks)  # drops each chunk before making the next
-        if before_replace is not None:
-            before_replace()
+        return before_replace is None or before_replace()
 
     _replace_via_temp(path, fill)
 
@@ -87,6 +86,7 @@ def utf8_chunks(blocks, fail, legal=None):
                 continue
             batch.append(piece)
             length += len(piece)
+        del block  # a long piece is dropped before the next block is made
     if batch:
         yield _encoded(batch, fail, legal)
 
@@ -135,14 +135,13 @@ def _replace_via_temp(path: Path, fill) -> None:
     try:
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         try:
-            fill(tmp)
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            os.replace(tmp, real)
-        except BaseException:
+            if fill(tmp) is not False:  # False abandons the write
+                with contextlib.suppress(FileNotFoundError):
+                    os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+                os.replace(tmp, real)
+        finally:  # once renamed it is gone; after a failure or an abandon, it goes
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            raise
     except OSError as exc:
         if exc.filename not in (None, tmp):
             raise  # about another file, such as a failed backup: it names that file

@@ -1,17 +1,18 @@
 """Bank-wide bulk edits: text replacement and penalty rewrites.
 
-Both operations mutate the given bank in place and return how much they
-changed. For a bank in the writer's own layout, every untouched field stays
-byte-identical after re-serialization; a foreign bank is rewritten from the
-model and loses what the model does not hold. They are typically applied to
-banks loaded with parse_bank, either directly or through the command line.
-
-Text replacement keeps the builders' invariants (model.check_question), and
-judges only the questions it changes; see _apply.
+Each operation is an edit of one question (text_edit, pattern_edit, penalty_edit):
+`quizbank maintain` streams a bank through it, holding one question and its edited
+copy, never the bank. replace_text, replace_text_pattern and set_wrong_penalty apply
+it to a bank in memory, in place, undo every edit if one fails, and return how much
+they changed. In the writer's own layout every untouched field stays byte-identical;
+a foreign bank is rewritten from the model and loses what the model does not hold.
+Text edits keep the builders' invariants (model.check_question), and judge only the
+questions they change; see _edit_texts.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import ValidationError
@@ -33,6 +34,26 @@ def replace_text(bank, old: str, new: str) -> int:
     deliberately exempt. Matching is literal and case-sensitive. Returns
     the number of occurrences in the texts it changed.
     """
+    return _apply(bank, text_edit(old, new))
+
+
+def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
+    """replace_text by regular expression (CLI --regex): occurrences in the texts it changed."""
+    return _apply(bank, pattern_edit(pattern, replacement))
+
+
+def set_wrong_penalty(bank, fraction) -> int:
+    """Set the grade fraction of every wrong multiple-choice alternative.
+
+    Wrong means a fraction of 0 or less: correct (+100) and partial-credit
+    alternatives keep theirs, and other question kinds are never touched.
+    Returns the number of questions with at least one wrong alternative.
+    """
+    return _apply(bank, penalty_edit(fraction))
+
+
+def text_edit(old: str, new: str):
+    """replace_text's edit of one question (see _edit_texts)."""
     if not isinstance(old, str) or not old:
         raise ValidationError("the text to replace must be a non-empty string")
 
@@ -42,11 +63,11 @@ def replace_text(bank, old: str, new: str) -> int:
             return edited, (sum(map(len, edited)) - sum(map(len, texts))) // (len(new) - len(old))
         return edited, sum([text.count(old) for text, after in zip(texts, edited) if after != text])
 
-    return _apply(bank, substitute)
+    return functools.partial(_edit_texts, substitute)
 
 
-def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
-    """replace_text by regular expression (CLI --regex): occurrences in the texts it changed."""
+def pattern_edit(pattern: str, replacement: str):
+    """replace_text_pattern's edit of one question (see _edit_texts)."""
     try:
         compiled = re.compile(pattern)
         # Checks the replacement's group references before any text changes.
@@ -60,56 +81,49 @@ def replace_text_pattern(bank, pattern: str, replacement: str) -> int:
         results = [compiled.subn(replacement, text) for text in texts]
         return [text for text, _ in results], sum([count for _, count in results])
 
-    return _apply(bank, substitute)
+    return functools.partial(_edit_texts, substitute)
 
 
-def set_wrong_penalty(bank, fraction) -> int:
-    """Set the grade fraction of every wrong multiple-choice alternative.
-
-    Wrong means a fraction of 0 or less: correct (+100) and partial-credit
-    alternatives keep theirs, and other question kinds are never touched.
-    Returns the number of questions with at least one wrong alternative.
-    """
+def penalty_edit(fraction):
+    """set_wrong_penalty's edit(index, question): (1 if the question has a wrong
+    alternative, else 0; whether a fraction changed)."""
     require_finite_number(fraction, "penalty fraction")
     if not -100 <= fraction <= 0:
         raise ValidationError(f"penalty fraction must lie between -100 and 0, got {fraction}")
     value = on_grade_grid(fraction)
-    wrong = list(_wrong_choices(bank))
-    for choice in [choice for choices in wrong for choice in choices]:
-        choice.fraction = value
-    return sum(1 for choices in wrong if choices)
+
+    def edit(index, question):
+        choices = question.payload.choices if question.kind is QuestionKind.MULTIPLE_CHOICE else ()
+        wrong = [choice for choice in choices if choice.fraction <= 0]
+        changed = any(choice.fraction != value for choice in wrong)
+        for choice in wrong:
+            choice.fraction = value
+        return int(bool(wrong)), changed
+
+    return edit
 
 
-def penalty_changes(bank, fraction) -> bool:
-    """Whether set_wrong_penalty(bank, fraction) would change any fraction."""
-    value = on_grade_grid(fraction)
-    return any(choice.fraction != value for choices in _wrong_choices(bank) for choice in choices)
+def _edit_texts(substitute, index, question):
+    """A text edit(index, question): substitute its texts at once, in place, giving (occurrences,
+    whether a text changed); a ValidationError of its check names it as it was, left edited."""
+    texts = question_texts(question)
+    new_texts, count = substitute(texts)
+    if not count or new_texts == texts:
+        return 0, False
+    set_question_texts(question, new_texts)
+    try:
+        check_question(question)
+    except ValidationError as exc:
+        raise ValidationError(f"question {index} ({texts[0]!r}): {exc}") from None
+    return count, True
 
 
-def _wrong_choices(bank):
-    """One list of wrong alternatives per multiple-choice question, each made when read."""
-    mcqs = (q.payload.choices for q in bank.questions if q.kind is QuestionKind.MULTIPLE_CHOICE)
-    return ([choice for choice in choices if choice.fraction <= 0] for choices in mcqs)
-
-
-def _apply(bank, substitute) -> int:
-    """Substitute each question's texts once, in place, and check every
-    question that changes; on a violation, undo all edits and raise
-    ValidationError naming the question."""
-    total = 0
-    edited = []  # (question, its texts before the edit)
-    for index, question in enumerate(bank.questions, start=1):
-        texts = question_texts(question)
-        new_texts, count = substitute(texts)
-        if count and new_texts != texts:
-            total += count
-            edited.append((question, texts))
-            set_question_texts(question, new_texts)
-            try:
-                check_question(question)
-            except ValidationError as exc:
-                for done, before in edited:
-                    set_question_texts(done, before)
-                raise ValidationError(f"question {index} ({question.name!r}): {exc}") from None
-    return total
-
+def _apply(bank, edit) -> int:
+    """Edit the bank's questions in place, totalling the counts; a failure undoes all text edits."""
+    before = [question_texts(question) for question in bank.questions]
+    try:
+        return sum([edit(index, question)[0] for index, question in enumerate(bank.questions, 1)])
+    except ValidationError:
+        for question, texts in zip(bank.questions, before):
+            set_question_texts(question, texts)
+        raise

@@ -51,15 +51,18 @@ class MediaAsset(Record):
         return _around_data_uri("", self, "")
 
 
+_SLICE = 3 << 16  # bytes base64-encoded at a time: a multiple of 3, so no padding between
+
+
 def _around_data_uri(before: str, asset: MediaAsset, after: str) -> str:
-    """before + the asset's data URI + after, from one join of the base64 bytes
-    and one decode: two full-size copies at most are alive at once."""
-    head = f"{before}data:{asset.media_type};base64,".encode()
-    # A non-ASCII after would make the decoder widen a full-size str midway.
-    tail, rest = (after, "") if after.isascii() else ("", after)
-    return b"".join(
-        (head, binascii.b2a_base64(asset.data, newline=False), tail.encode())
-    ).decode("ascii") + rest
+    """before + the asset's data URI + after, grown in place one base64 slice
+    at a time: one full-size copy, unless a non-ASCII after widens it."""
+    text, data = f"{before}data:{asset.media_type};base64,", memoryview(asset.data)
+    for start in range(0, len(data) + _SLICE, _SLICE):  # every slice, then after
+        # One += for all: CPython grows a str in place only at an addition it has specialized.
+        text += (binascii.b2a_base64(data[start:start + _SLICE], newline=False).decode("ascii")
+                 if start < len(data) else after)
+    return text
 
 
 def embed_image(asset: MediaAsset) -> str:

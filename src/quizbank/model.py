@@ -135,9 +135,9 @@ def set_question_texts(question: Question, texts) -> None:
 
 
 def unencodable_error(bank, pattern: str, target: str) -> QuizbankError:
-    """Name the first category or question, in document order, that holds a
-    character the target cannot encode (one the regular expression pattern finds)."""
-    for index, question in enumerate(bank.questions, start=1):
+    """Name the first category or question of bank (None has none), in document order,
+    that holds a character the target cannot encode (one the regular expression finds)."""
+    for index, question in enumerate(() if bank is None else bank.questions, start=1):
         name = question.name or f"question #{index}"
         owned = [(f"question {name!r}", text) for text in question_texts(question)]
         for owner, text in [(f"category {question.category!r}", question.category), *owned]:

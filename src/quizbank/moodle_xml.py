@@ -149,11 +149,13 @@ def serialize_bank(bank) -> bytes:
     return out.getvalue()
 
 
-def serialize_chunks(bank):
-    """serialize_bank's document as UTF-8 chunks (fileio.utf8_chunks). Each is
-    scanned first, so the QuizbankError may follow good chunks."""
+def serialize_chunks(bank, questions=None):
+    """serialize_bank's document, or that of any iterable of ``questions``, as UTF-8 chunks
+    (fileio.utf8_chunks). Each is scanned first, so the QuizbankError, which names a
+    question of the bank if there is one, may follow good chunks."""
     fail = functools.partial(unencodable_error, bank, _UNENCODABLE, "XML")
-    return utf8_chunks(_document_blocks(bank), fail, _xml_legal)
+    questions = bank.questions if questions is None else questions
+    return utf8_chunks(_document_blocks(questions), fail, _xml_legal)
 
 
 def parse_bank(data) -> QuestionBank:
@@ -237,11 +239,11 @@ def parse_bank(data) -> QuestionBank:
 # -- writer ---------------------------------------------------------------
 
 
-def _document_blocks(bank):
-    """The document as one list of str pieces per question."""
+def _document_blocks(questions):
+    """The document of questions as one list of str pieces per question."""
     yield [_DOCUMENT[0]]
     emitted_category = ""  # the importer's default until a marker says otherwise
-    for question in bank.questions:
+    for question in questions:
         parts = []
         if question.category != emitted_category:
             emitted_category = question.category
@@ -251,6 +253,7 @@ def _document_blocks(bank):
             parts.append(_CATEGORY % escape_xml_text(marker))
         _emit_question(parts, question)
         yield parts
+        question = parts = None  # dropped before the next question is read
     yield [_DOCUMENT[1]]
 
 

@@ -1,6 +1,10 @@
 """Bulk edits: literal text replacement and wrong-penalty rewrites."""
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +19,7 @@ from quizbank import (
     serialize_bank,
     set_wrong_penalty,
 )
-from quizbank.maintenance import penalty_changes
+from quizbank.cli import main
 from quizbank.model import question_texts
 
 
@@ -240,16 +244,27 @@ class TestSetWrongPenalty:
         st.one_of(st.sampled_from([0, -20, -33.33333, -100.0 / 3, -50.000001]),
                   st.floats(-100, 0)),
     )
-    def test_penalty_changes_exactly_when_the_bytes_do(self, questions, fraction):
-        # On a read bank, whose fractions lie on the 5-decimal grid.
+    def test_in_place_set_penalty_writes_exactly_when_the_bytes_change(self, questions, fraction):
+        # On a read bank, whose fractions lie on the 5-decimal grid: the command
+        # writes the bank and a .bak exactly when the library edit changes a byte.
         bank = QuestionBank(None)
         for index, (wrong_count, wrong) in enumerate(questions):
             bank.wrong_fraction_rule = lambda count, wrong=wrong: wrong
             bank.addMultipleChoice(f"q{index}", "Pick:", [f"c{i}" for i in range(wrong_count + 1)])
         bank = parse_bank(before := serialize_bank(bank))
-        changes = penalty_changes(bank, fraction)
         assert set_wrong_penalty(bank, fraction) == len(questions)
-        assert changes == (serialize_bank(bank) != before)
+        after = serialize_bank(bank)
+        with tempfile.TemporaryDirectory() as name:
+            path = Path(name) / "bank.xml"
+            path.write_bytes(before)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["maintain", str(path), "set-penalty", "--", repr(float(fraction))]) == 0
+            assert out.getvalue() == f"questions updated: {len(questions)}\n"
+            assert path.read_bytes() == after
+            backups = [p.read_bytes() for p in Path(name).glob("bank.xml.*.bak")]
+            assert backups == ([before] if after != before else [])
+            assert len(list(Path(name).iterdir())) == 1 + len(backups)
 
     def test_partial_credit_kept_on_foreign_bank(self):
         bank = parse_bank(FOREIGN_PARTIAL_CREDIT)

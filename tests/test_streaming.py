@@ -30,7 +30,7 @@ from quizbank import (
     render_preview,
     serialize_bank,
 )
-from quizbank import cli, fileio
+from quizbank import cli, fileio, media
 from quizbank.fileio import CHUNK_CHARS, atomic_write_chunks, utf8_chunks
 from quizbank.moodle_xml import serialize_chunks
 from quizbank.preview import build_preview_html
@@ -284,6 +284,25 @@ class TestMemory:
         assert path.stat().st_size > 3_000_000  # many chunks at either window
         assert peak < 1 << 20
 
+    def test_maintain_peak_does_not_grow_with_the_bank(self, tmp_path, capsys):
+        """maintain streams a bank in the writer's layout a question at a time:
+        it holds the question in hand and its edited copy, never the bank, so
+        three more large stems to edit add less than 1 MiB to its peak, and
+        each stem is dropped before the next is read."""
+        peaks = []
+        for count in (3, 6):
+            path = tmp_path / f"bank{count}.xml"
+            bank = _media_bank(count)
+            stem = len(bank.questions[0].stem)
+            atomic_write_chunks(path, serialize_chunks(bank))
+            del bank
+            argv = ["maintain", str(path), "replace-text", 'alt="">', 'alt="figure">', "--no-backup"]
+            peaks.append(_traced_peak(lambda: cli.main(argv)))
+            assert capsys.readouterr().out == f"replacements: {count}\n"
+            assert path.read_bytes().count(b'alt="figure">') == count
+        assert peaks[1] - peaks[0] < 1 << 20
+        assert peaks[1] < 2 * stem + (2 << 20)
+
     def test_streamed_write_of_a_large_field_holds_one_chunk(self, tmp_path):
         """The bank's texts exist before tracing starts, so the peak is what
         the write adds to them: one chunk and its scans, never the field."""
@@ -328,3 +347,27 @@ class TestEmbedding:
         lengths = []
         peak = _traced_peak(lambda: lengths.append(len(embed(asset))))
         assert peak < 2 * lengths[0] + (1 << 16)
+
+    @pytest.mark.parametrize(
+        "embed, media_type, alt",
+        [(embed_image, "image/png", None), (embed_image, "image/png", 'a "dot" <b>'),
+         (embed_video, "video/mp4", None)],
+    )
+    def test_one_full_size_copy(self, embed, media_type, alt):
+        """An ASCII fragment grows in place, one base64 slice at a time."""
+        embed(MediaAsset(b"x", media_type, alt))  # imports what embedding needs
+        asset = MediaAsset(random.Random(2).randbytes(6_000_000), media_type, alt)
+        lengths = []
+        peak = _traced_peak(lambda: lengths.append(len(embed(asset))))
+        assert peak < lengths[0] + (1 << 20)
+
+    @pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+    def test_slices_join_at_every_length(self, form):
+        """Lengths 0, 1 and 2 mod 3 on either side of one and two slices."""
+        rng = random.Random(3)
+        for length in [1, 2, 3, 4, *(n * media._SLICE + d for n in (1, 2) for d in (-2, -1, 0, 1, 2))]:
+            data = rng.randbytes(length)
+            asset = MediaAsset(form(data), "image/png", "é")
+            assert embed_image(asset) == _old_fragment(MediaAsset(data, "image/png", "é"), "img")
+            video = MediaAsset(form(data), "video/mp4")
+            assert embed_video(video) == _old_fragment(MediaAsset(data, "video/mp4"), "video")

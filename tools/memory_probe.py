@@ -15,13 +15,15 @@ probe prints each command's peak and exits 1 if one fails or peaks above
 its bound:
 
     stats, preview     floor + 1.2 x fields + 1 MiB
-    build, maintain    floor + fields + 3 x the largest field + 1 MiB
+    build              floor + fields + 3 x the largest field + 1 MiB
+    maintain           floor + 2 x the largest field + 1 MiB
 
 where the 1 MiB covers what a command needs beyond the import whatever the
 bank's size (its argument parser, compiled patterns, small objects). Reading
 a bank holds its fields and one window of the file, so stats and preview sit
-near floor + fields. maintain replace-text also holds every edited text's old
-value until its pass ends, near floor + 2 x fields.
+near floor + fields. maintain streams the bank one question at a time: it
+holds the question in hand and its edited copy, and drops both before it
+reads the next, so its bound does not grow with the number of videos.
 
 This process holds no large data itself: Linux folds the peak of the
 process that forks a child into that child's ru_maxrss.
@@ -100,10 +102,11 @@ def main(argv=None) -> int:
         Path(directory, "script.py").write_text(SCRIPT.format(videos=VIDEOS, size=size))
         floor = peak_kib(["-c", "import quizbank.cli"], directory) * 1024
         read = floor + 1.2 * fields + MIB
-        bound = floor + fields + 3 * largest + MIB
+        bounds = {"build": floor + fields + 3 * largest + MIB, "stats": read,
+                  "maintain": floor + 2 * largest + MIB, "preview": read}
         print(f"{VIDEOS} videos of {args.mb} MB: fields {fields / MIB:.1f} MiB, "
-              f"largest {largest / MIB:.1f} MiB, floor {floor / MIB:.1f} MiB, "
-              f"bounds {read / MIB:.1f} MiB (stats, preview) and {bound / MIB:.1f} MiB")
+              f"largest {largest / MIB:.1f} MiB, floor {floor / MIB:.1f} MiB, bounds "
+              + ", ".join(f"{label} {bounds[label] / MIB:.1f} MiB" for label, _ in COMMANDS))
         over = []
         for label, command in COMMANDS:
             if label == "maintain":
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
                     sys.exit("memory probe: maintain left no .bak of the bank before the edit")
             share = (peak - floor) / fields
             print(f"  {label:<9} {peak / MIB:8.1f} MiB  floor + {share:.2f} x fields")
-            if peak > (read if label in ("stats", "preview") else bound):
+            if peak > bounds[label]:
                 over.append(label)
     if over:
         print(f"memory probe: above the bound: {', '.join(over)}", file=sys.stderr)
