@@ -22,8 +22,8 @@ from .errors import QuizbankError, ValidationError
 # replace_text and set_wrong_penalty go unused here; benchmarks/tracing.py wraps them by name.
 from .fileio import atomic_write_bytes, atomic_write_chunks  # noqa: F401
 from .fileio import map_file, timestamped_backup
-from .maintenance import pattern_edit, penalty_edit, replace_text, set_wrong_penalty  # noqa: F401
-from .maintenance import text_edit
+from .maintenance import pattern_edit, penalty_edit, text_edit
+from .maintenance import replace_text, set_wrong_penalty  # noqa: F401
 from .media import question_media_bytes
 from .moodle_xml import _own_layout, _windows, parse_bank, serialize_chunks
 from .moodle_xml import serialize_bank  # noqa: F401
@@ -227,17 +227,18 @@ def _cmd_preview(args) -> int:
 
 
 def _cmd_maintain(args) -> int:
+    read = []  # holds True once the stream has edited the whole bank
     with map_file(args.bank) as data:  # closed once the edited bank is on file
         try:
-            return _edit_stream(args, _own_layout(_windows(data)))
-        except (QuizbankError, ValueError):  # a failure, or off the writer's layout:
+            return _edit_stream(args, _own_layout(_windows(data)), read)
+        except (QuizbankError, ValueError, OSError):  # failed, off the layout, or no temp file:
+            if read:
+                raise  # the backup or the rename failed
             bank = parse_bank(data)  # the bank read whole reports it as it always has
-    return _edit_stream(args, bank.questions, bank)
+    return _edit_stream(args, bank.questions, read, bank)
 
 
-def _edit_stream(args, questions, bank=None) -> int:
-    """Edit each of ``questions`` (a str among them is a category change) as it
-    comes, into the atomic write's temporary file; ``bank`` names an unencodable text."""
+def _edit_stream(args, questions, read, bank=None) -> int:
     edit = (penalty_edit(args.fraction) if args.operation == "set-penalty"
             else (pattern_edit if args.regex else text_edit)(args.old, args.new))
     in_place = args.out is None or _same_file(args.out, args.bank)
@@ -246,7 +247,7 @@ def _edit_stream(args, questions, bank=None) -> int:
     def edited():
         nonlocal total, changed, index
         for question in questions:
-            if type(question) is not str:
+            if type(question) is not str:  # a str is a category change
                 index += 1
                 count, change = edit(index, question)
                 total, changed = total + count, changed or change
@@ -254,14 +255,15 @@ def _edit_stream(args, questions, bank=None) -> int:
             question = None  # dropped before the next is read
 
     def finish():  # once the edited bank is on file whole, before the rename
-        if in_place and not changed:
-            return False  # the write is abandoned: no rename and no backup
-        if in_place and not args.no_backup:
+        read.append(True)
+        if in_place and changed and not args.no_backup:
             print(f"backup: {timestamped_backup(target)}", file=sys.stderr)
+        return changed or not in_place  # False abandons the write: no rename and no backup
 
-    atomic_write_chunks(target, serialize_chunks(bank, edited()), before_replace=finish)
-    report = "replacements: %d" if args.operation == "replace-text" else "questions updated: %d"
-    print(report % total)
+    edits = edited() if bank is None else list(edited())  # a bank read whole: every edit first
+    if bank is None or changed or not in_place:  # an in-place no-op makes no file
+        atomic_write_chunks(target, serialize_chunks(bank, edits), before_replace=finish)
+    print(f"{'replacements' if args.operation == 'replace-text' else 'questions updated'}: {total}")
     return EXIT_OK
 
 

@@ -85,8 +85,7 @@ def pattern_edit(pattern: str, replacement: str):
 
 
 def penalty_edit(fraction):
-    """set_wrong_penalty's edit(index, question): (1 if the question has a wrong
-    alternative, else 0; whether a fraction changed)."""
+    """set_wrong_penalty's edit(index, question): (1 if it has a wrong alternative, changed)."""
     require_finite_number(fraction, "penalty fraction")
     if not -100 <= fraction <= 0:
         raise ValidationError(f"penalty fraction must lie between -100 and 0, got {fraction}")

@@ -2,10 +2,13 @@
 question at a time. Whatever the bank and the edit, the command gives what
 the library edit on the parsed bank gives: the same output bytes, standard
 output and error, exit code, backup and files. A bank that leaves the layout
-midway, a failing edit and a malformed tail are reported as ever."""
+midway, a failing edit, a malformed tail and a directory that refuses the
+temporary file are reported as ever."""
 
 import contextlib
+import errno
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -44,7 +47,8 @@ _OPERATION = st.one_of(
 
 def _library(data, operation):
     """What maintain gave when it parsed the whole bank, edited it with the
-    library and wrote it: (exit code, report line, error line, edited bytes)."""
+    library and wrote it: (exit code, report line, error line, edited bytes,
+    whether the failure came only while writing)."""
     try:
         bank = parse_bank(data)
         if operation[0] == "set-penalty":
@@ -52,16 +56,30 @@ def _library(data, operation):
         else:
             replace = replace_text_pattern if "--regex" in operation else replace_text
             report = f"replacements: {replace(bank, *operation[-2:])}\n"
-        return 0, report, "", serialize_bank(bank)
     except ValidationError as exc:
-        return 1, "", f"error: {exc}\n", None
+        return 1, "", f"error: {exc}\n", None, False
     except QuizbankError as exc:
-        return 2, "", f"error: {exc}\n", None
+        return 2, "", f"error: {exc}\n", None, False
+    try:
+        return 0, report, "", serialize_bank(bank), False
+    except QuizbankError as exc:
+        return 2, "", f"error: {exc}\n", None, True
 
 
-def _command(data, operation, out):
+def _refuse_temporary_files(path, *args):
+    """os.open as in a directory the user may read but not write."""
+    if str(path).endswith(".tmp"):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return _OS_OPEN(path, *args)
+
+
+_OS_OPEN = os.open
+
+
+def _command(data, operation, out, refuse=False):
     """Run maintain in a fresh directory: (exit code, stdout, stderr, bank
-    bytes, --out bytes or None, the .bak's bytes or None, the file names)."""
+    bytes, --out bytes or None, the .bak's bytes or None, the file names).
+    With ``refuse``, no temporary file can be made."""
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
         bank = directory / "bank.xml"
@@ -70,7 +88,8 @@ def _command(data, operation, out):
         argv += ["--out", str(directory / out)] if out else []
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                mock.patch("time.strftime", lambda fmt: _STAMP):
+                mock.patch("time.strftime", lambda fmt: _STAMP), \
+                mock.patch("os.open", _refuse_temporary_files if refuse else _OS_OPEN):
             code = main(argv + operation[1:])
         backup = directory / f"bank.xml.{_STAMP}.bak"
         written = directory / out if out else None
@@ -82,10 +101,14 @@ def _command(data, operation, out):
         )
 
 
-def _expected(data, operation, out):
-    """_command's result for today's rule, from _library."""
-    code, report, error, edited = _library(data, operation)
+def _expected(data, operation, out, refuse=False):
+    """_command's result for today's rule, from _library: the bank is read
+    and edited whole before anything is written."""
+    code, report, error, edited, writing = _library(data, operation)
     files = ["bank.xml"]
+    if refuse and (writing or not code and (out not in (None, "bank.xml") or edited != data)):
+        refused = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: 'DIR/{out or 'bank.xml'}'"
+        code, error = 2, f"error: {refused}\n"
     if code:
         return code, "", error, data, data if out == "bank.xml" else None, None, files
     if out and out != "bank.xml":  # written elsewhere, changed or not
@@ -103,6 +126,12 @@ class TestStreamedEqualsLibrary:
     def test_every_edit(self, bank, operation, out):
         data = serialize_bank(bank)
         assert _command(data, operation, out) == _expected(data, operation, out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bank=_built_bank(), operation=_OPERATION, out=st.sampled_from([None, "bank.xml", "e.xml"]))
+    def test_every_edit_where_no_temporary_file_can_be_made(self, bank, operation, out):
+        data = serialize_bank(bank)
+        assert _command(data, operation, out, True) == _expected(data, operation, out, True)
 
 
 def _four_questions():
@@ -157,3 +186,21 @@ def test_bank_leaving_the_layout_after_its_third_question(tail, operation, code,
     assert result[0] == code
     if message is not None:
         assert result[2] == message
+
+
+@pytest.mark.parametrize("out", [None, "e.xml"])
+@pytest.mark.parametrize(
+    "tail, operation, code",
+    [(b"", ["replace-text", "absent", "x"], 0), (b"", ["set-penalty", "-50"], 0),
+     (b"", ["replace-text", "Paris", "Lyon"], 2), (_FOREIGN_TAIL, ["replace-text", "o", "a"], 1),
+     (_MALFORMED_TAIL, ["replace-text", "Paris", "Lyon"], 2)],
+    ids=["no-op", "penalty-no-op", "edit", "failing-edit-then-foreign-tail", "malformed-tail"],
+)
+def test_directory_that_refuses_the_temporary_file(tail, operation, code, out):
+    """The bank is read and edited before the refusal is reported: an in-place
+    edit that changes nothing succeeds, and a failing edit or a malformed
+    tail is reported, not the directory."""
+    data = _after_third(_four_questions(), tail)
+    result = _command(data, operation, out, True)
+    assert result == _expected(data, operation, out, True)
+    assert result[0] == (2 if out and code == 0 else code)
