@@ -153,8 +153,7 @@ def _cmd_build(args) -> int:
             raise ValidationError(
                 f"${SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             )
-    import runpy  # here, not at the top: only build runs scripts and prints tracebacks
-    import traceback
+    import runpy  # here, not at the top: only build runs scripts
 
     overrides = {"seed": seed, "out": args.out, "banks": []}
     token = bank_module.build_overrides.set(overrides)
@@ -176,6 +175,7 @@ def _cmd_build(args) -> int:
         if exc.code:
             raise QuizbankError(f"script exited: {exc.code}")
     except BaseException:
+        import traceback  # here: only a failing script prints one
         traceback.print_exc()
         return EXIT_FAILURE
     finally:

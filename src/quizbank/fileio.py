@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
-import shutil
 import stat
 import time
 from pathlib import Path
@@ -123,6 +122,7 @@ def timestamped_backup(path: Path) -> Path:
         except OSError as exc:
             if exc.errno not in _NO_LINK:
                 raise OSError(exc.errno, exc.strerror, str(backup)) from exc
+            import shutil  # here, not at the top: only a refused link copies
             _replace_via_temp(backup, lambda tmp: shutil.copy2(path, tmp))
             return backup
 

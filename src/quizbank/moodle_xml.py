@@ -165,6 +165,9 @@ def parse_bank(data) -> QuestionBank:
     Bytes are decoded and read a window at a time, so a read holds the bank's
     fields, one window and the largest open question, never the whole text; a
     read-only mapping's pages are dropped once decoded, as its file holds them.
+    Equal names and answer-side texts come back as one str, as a generated bank
+    repeats its pools' texts in every question; stems, which rarely repeat and
+    would each be hashed whole (a media stem is megabytes), are not shared.
     The returned bank has no output path (supply one before close()).
     Unsupported question types are skipped with a warning on the bank;
     malformed XML raises BankParseError with the reported line/column and
@@ -196,7 +199,8 @@ def parse_bank(data) -> QuestionBank:
     if root.tag != "quiz":
         raise BankParseError(f"expected <quiz> root element, found <{root.tag}>")
 
-    bank = QuestionBank(output_path=None)
+    bank, texts = QuestionBank(output_path=None), {}
+    share = lambda text: texts.setdefault(text, text)  # one str per distinct text, as _own_layout
     number = 0
     for element in root:
         if element.tag != "question":
@@ -210,7 +214,7 @@ def parse_bank(data) -> QuestionBank:
         if qtype not in _TYPES:
             bank.warn(f"skipping unsupported question type '{qtype}'")
             continue
-        name = element.findtext("name/text") or ""
+        name = share(element.findtext("name/text") or "")
         single = element.findtext("single", "").strip().lower()
         if qtype == "multichoice" and single in ("0", "false"):
             bank.warn(f"skipping multi-select multiple-choice question {name!r} "
@@ -227,7 +231,7 @@ def parse_bank(data) -> QuestionBank:
             items = [(ans, ans.findtext("text") or default, ans.findtext("tolerance"))
                      for ans in element.findall("answer")]
         try:
-            payload = _payload(qtype, items, str, str,
+            payload = _payload(qtype, items, share, share,
                                lambda message: bank.warn(f"question {name!r}: {message}"))
         except ValueError as exc:
             raise BankParseError(f"question #{number}: {exc}") from exc
@@ -299,7 +303,7 @@ def _parse_own_layout(data) -> QuestionBank:
     ValueError at the first character off it, so that ElementTree reads it."""
     bank = QuestionBank(output_path=None)
     append = bank.questions.append
-    for read in _own_layout(_windows(data)):
+    for read in _own_layout(_windows(data), {}):
         if type(read) is str:
             bank.category = read
         else:
@@ -339,10 +343,16 @@ def _windows(data):
         yield text
 
 
-def _own_layout(windows):
+def _own_layout(windows, texts=None):
     """Yield each question of a legal text in serialize_bank's layout, and each
     category it changes to (a str), reading whole blocks as its windows come;
-    raise ValueError at the first character off the layout."""
+    raise ValueError at the first character off the layout. Names and answer-side
+    texts go through texts, a dict, if given (a stream keeps none: it would grow)."""
+    unescape, uncdata = _unescape, _uncdata
+    if texts is not None:  # the first equal text read is kept; each later copy is freed at once
+        share = texts.setdefault
+        unescape = lambda raw: share(text := _unescape(raw), text)
+        uncdata = lambda raw: share(text := _uncdata(raw), text)
     # re caches compiled patterns, so only the first parse compiles these.
     read = {key: re.compile(pattern).match for key, pattern in _READERS.items()}
     read_category, read_head = read["category"], read["head"]
@@ -378,11 +388,11 @@ def _own_layout(windows):
                 while item := read_item(text, pos, last):
                     items.append(item)
                     pos = item.end()
-                payload = _payload(kind, items, _unescape, _uncdata, _leave_layout)
+                payload = _payload(kind, items, unescape, uncdata, _leave_layout)
                 if not text.startswith(block_end, pos):
                     raise ValueError("not the writer's layout")
                 pos += len(block_end)
-                yield Question(member, _unescape(name), stem, payload, category)
+                yield Question(member, unescape(name), stem, payload, category)
                 stem = None
             # No whole block is left: a stem that runs on past the window reads on alone.
             head = read_head(text, pos)

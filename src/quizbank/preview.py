@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 from pathlib import Path
 
 from .fileio import atomic_write_chunks, utf8_chunks
@@ -87,6 +86,8 @@ def render_preview(bank, output_path, math="cdn"):
 def render_temp_preview(bank) -> Path:
     """Render to a new, owner-only ``quizbank-preview-*.html`` temp file and
     return its path; a failed render removes the file."""
+    import tempfile  # here, not at the top: only a page without --out needs it
+
     fd, name = tempfile.mkstemp(prefix="quizbank-preview-", suffix=".html")
     os.close(fd)
     try:

@@ -725,7 +725,7 @@ class TestFailureMessages:
         monkeypatch.chdir(directory)
         if case == "failed-backup":  # the link is refused, then the copy fails
             monkeypatch.setattr("quizbank.fileio.os.link", _link_failing_with(errno.EXDEV))
-            monkeypatch.setattr("quizbank.fileio.shutil.copy2", _full_disk_copy)
+            monkeypatch.setattr("shutil.copy2", _full_disk_copy)  # fileio imports it on use
         before = bank_file.read_bytes()
         argv, named = _OS_FAILURES[case]
         paths = {"missing": directory / "missing.xml", "directory": directory / "folder"}
@@ -844,7 +844,7 @@ class TestFailureMessages:
 # Modules only some commands need; importing quizbank.cli must not load them.
 _ON_USE_MODULES = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "html", "html.entities", "traceback",
-    "runpy", "xml.etree.ElementTree", "webbrowser", "base64",
+    "runpy", "xml.etree.ElementTree", "webbrowser", "base64", "shutil", "tempfile",
 }
 
 _MEDIA_SCRIPT = f"""\
@@ -914,6 +914,17 @@ class TestStartup:
         assert result.returncode == 2
         assert "Traceback (most recent call last)" in result.stderr
         assert "RuntimeError: boom" in result.stderr
+
+    def test_successful_build_imports_no_traceback(self, tmp_path):
+        # Compared with a bare child, as a host's site may import it first.
+        probe = "import sys; print('traceback' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe], env=_SUBPROCESS_ENV,
+                              capture_output=True, text=True, check=True)
+        script = tmp_path / "probe.py"
+        script.write_text(probe + "\n", encoding="utf-8")
+        result = _cli_process(["build", str(script)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == bare.stdout
 
     def test_media_build_and_preview_match_in_process(self, tmp_path, monkeypatch):
         script = tmp_path / "media.py"

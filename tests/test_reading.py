@@ -59,6 +59,38 @@ _VARIANTS = {
 }
 
 
+# Texts a generated bank repeats across its questions, each escape among them.
+_POOL = st.sampled_from(["twin", "Paris & <b>Lyon</b>", "x]]>y", "中文 é", "two  words"])
+
+
+@st.composite
+def _pooled_bank(draw):
+    """A bank whose names and answer texts are drawn from _POOL."""
+    bank = QuestionBank(None)
+    for number in range(draw(st.integers(2, 6))):
+        name, stem, texts = draw(_POOL), f"stem {number}", draw(st.lists(_POOL, min_size=2, max_size=4))
+        kind = draw(st.sampled_from(["short", "choice", "matching"]))
+        try:
+            if kind == "short":
+                bank.addShortAnswer(name, stem, texts)
+            elif kind == "choice":
+                bank.addMultipleChoice(name, stem, texts)
+            else:
+                bank.addMatching(name, stem, [(text, draw(_POOL)) for text in texts])
+        except ValidationError:  # repeated texts: the builders refuse them
+            pass
+    return bank
+
+
+def _names_and_answers(question):
+    payload = question.payload
+    if question.kind == "multichoice":
+        return [question.name, *(choice.text for choice in payload.choices)]
+    if question.kind == "matching":
+        return [question.name, *(text for pair in payload.pairs for text in pair)]
+    return [question.name, *payload.answers]
+
+
 class TestEveryReaderGivesTheSameBank:
     @pytest.mark.parametrize("variant", _VARIANTS)
     @settings(max_examples=40, deadline=None,
@@ -75,6 +107,20 @@ class TestEveryReaderGivesTheSameBank:
             assert read.questions == bank.questions
             assert (read.category, read.warnings) == (banks[0].category, banks[0].warnings)
             assert serialize_bank(read) == written
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    @settings(max_examples=40, deadline=None)
+    @given(bank=_pooled_bank())
+    def test_equal_names_and_answers_are_one_str(self, variant, bank):
+        written = serialize_bank(bank)
+        data = _VARIANTS[variant](written)
+        for read in (parse_bank(data), parse_bank(data.decode("utf-8"))):
+            assert read.questions == bank.questions
+            assert serialize_bank(read) == written
+            first = {}
+            for question in read.questions:
+                for text in _names_and_answers(question):
+                    assert first.setdefault(text, text) is text, text
 
 
 _OWN = (

@@ -284,6 +284,22 @@ class TestMemory:
         assert path.stat().st_size > 3_000_000  # many chunks at either window
         assert peak < 1 << 20
 
+    def test_parse_holds_each_pooled_text_once(self, tmp_path):
+        """A generated bank repeats its pool's texts in every question: a read
+        holds each once, so 200 more questions add their own records, stems
+        and names, not 800 more choice texts of 4 KiB."""
+        pool = [f"{number:04d}" * 1024 for number in range(8)]
+        parse_bank(serialize_bank(QuestionBank(None)))  # the reader's patterns, compiled
+        held = []
+        for count in (200, 400):
+            bank = QuestionBank(None, seed=1)
+            for number in range(count):
+                bank.addMultipleChoice(f"q{number}", f"Pick {number}", random.Random(number).sample(pool, 4))
+            path = tmp_path / f"bank{count}.xml"
+            atomic_write_chunks(path, serialize_chunks(bank))
+            held.append(_traced_read(path)[0])
+        assert held[1] - held[0] < 200 * 1024  # 800 copies of a choice text take 3.2 MiB
+
     def test_maintain_peak_does_not_grow_with_the_bank(self, tmp_path, capsys):
         """maintain streams a bank in the writer's layout a question at a time:
         it holds the question in hand and its edited copy, never the bank, so

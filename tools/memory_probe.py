@@ -1,4 +1,5 @@
-"""Peak memory of each quizbank command on a bank of three embedded videos.
+"""Peak memory of each quizbank command on a bank of three embedded videos,
+and of stats and preview on a generated bank that repeats its pool's texts.
 
 Usage: python tools/memory_probe.py [--mb 50]
 
@@ -24,6 +25,19 @@ a bank holds its fields and one window of the file, so stats and preview sit
 near floor + fields. maintain streams the bank one question at a time: it
 holds the question in hand and its edited copy, and drops both before it
 reads the next, so its bound does not grow with the number of videos.
+
+The generated bank is 4,000 addMultipleChoiceFromLists questions over 64
+texts of 1 KiB, so its 16 MiB of choice texts hold 64 KiB of distinct ones.
+A read holds one str per distinct name and answer text, so stats and
+preview are bounded by
+
+    floor + distinct fields + 1 KiB per question + 1 MiB
+
+where 1 KiB covers what a read holds for each question beyond its pooled
+texts: its stem and the question, payload and choice records (under
+tracemalloc, about 0.5 KiB on Python 3.11). A read that kept every
+question's own copies of its choice texts would peak some 15 MiB above the
+floor, far above the bound.
 
 This process holds no large data itself: Linux folds the peak of the
 process that forks a child into that child's ru_maxrss.
@@ -56,6 +70,27 @@ for number in range({videos}):
     del video  # keeps only the fragment, as a script that renders one video at a time
 bank.close()
 """
+
+POOL_TEXTS, POOL_QUESTIONS, KIB = 64, 4000, 1 << 10
+
+POOL_SCRIPT = f"""\
+import random
+
+from quizbank import QuestionBank
+
+rng = random.Random(0)
+texts = [rng.randbytes({KIB // 2}).hex() for _ in range({POOL_TEXTS})]
+bank = QuestionBank("pools.xml", seed=0)
+half = len(texts) // 2
+bank.addMultipleChoiceFromLists("pick", "Which one is correct?", texts[:half], texts[half:], {POOL_QUESTIONS})
+bank.close()
+"""
+
+POOL_COMMANDS = [
+    ("build", ["build", "pools.py"]),
+    ("stats", ["stats", "pools.xml"]),
+    ("preview", ["preview", "pools.xml", "--out", "pools.html"]),
+]
 
 COMMANDS = [
     ("build", ["build", "script.py"]),
@@ -120,6 +155,16 @@ def main(argv=None) -> int:
             print(f"  {label:<9} {peak / MIB:8.1f} MiB  floor + {share:.2f} x fields")
             if peak > bounds[label]:
                 over.append(label)
+        Path(directory, "pools.py").write_text(POOL_SCRIPT)
+        distinct = POOL_TEXTS * KIB + len("pick") + len("Which one is correct?")
+        read = floor + distinct + POOL_QUESTIONS * KIB + MIB
+        print(f"{POOL_QUESTIONS} generated questions over {POOL_TEXTS} texts of 1 KiB: "
+              f"bound {read / MIB:.1f} MiB for stats and preview")
+        for label, command in POOL_COMMANDS:
+            peak = peak_kib(["-m", "quizbank.cli", *command], directory) * 1024
+            print(f"  {label:<9} {peak / MIB:8.1f} MiB  floor + {(peak - floor) / MIB:.2f} MiB")
+            if label != "build" and peak > read:
+                over.append(f"generated {label}")
     if over:
         print(f"memory probe: above the bound: {', '.join(over)}", file=sys.stderr)
         return 1
