@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from quizbank import BankParseError, QuestionBank, ValidationError, parse_bank, serialize_bank
 from quizbank import cli, moodle_xml
+from quizbank.model import question_texts
 
 from test_cli import _SUBPROCESS_ENV
 
@@ -82,15 +83,6 @@ def _pooled_bank(draw):
     return bank
 
 
-def _names_and_answers(question):
-    payload = question.payload
-    if question.kind == "multichoice":
-        return [question.name, *(choice.text for choice in payload.choices)]
-    if question.kind == "matching":
-        return [question.name, *(text for pair in payload.pairs for text in pair)]
-    return [question.name, *payload.answers]
-
-
 class TestEveryReaderGivesTheSameBank:
     @pytest.mark.parametrize("variant", _VARIANTS)
     @settings(max_examples=40, deadline=None,
@@ -119,7 +111,8 @@ class TestEveryReaderGivesTheSameBank:
             assert serialize_bank(read) == written
             first = {}
             for question in read.questions:
-                for text in _names_and_answers(question):
+                name, _, *answers = question_texts(question)  # stems are not shared
+                for text in (name, *answers):
                     assert first.setdefault(text, text) is text, text
 
 
